@@ -116,7 +116,7 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
       config_.arena_bytes, spec.page_size, spec.sharing,
       model_ == machdep::ProcessModel::kOsFork
           ? machdep::ArenaBacking::kSharedMapping
-          : machdep::ArenaBacking::kPrivateHeap);
+          : machdep::ArenaBacking::kPrivateMapping);
   private_ = std::make_unique<machdep::PrivateSpace>(
       config_.private_data_bytes, config_.private_stack_bytes);
   if (config_.trace) {

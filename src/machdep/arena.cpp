@@ -1,6 +1,10 @@
 #include "machdep/arena.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <memory>
+#include <type_traits>
 
 #include "util/check.hpp"
 
@@ -13,24 +17,34 @@ std::size_t round_up(std::size_t v, std::size_t to) {
   FORCE_CHECK(to != 0 && (to & (to - 1)) == 0, "alignment must be power of 2");
   return (v + to - 1) & ~(to - 1);
 }
+
+/// A private segment that starts zeroed without being written.
+shm::AnonMapping zeroed_segment(std::size_t bytes) {
+  return shm::AnonMapping(bytes, shm::AnonMapping::Sharing::kPrivate);
+}
 }  // namespace
 
 // --- in-mapping metadata (kSharedMapping) ----------------------------------
 //
-// Heap-backed arenas keep their name table in a std::map, which forked
+// Private-mapping arenas keep their name table in a std::map, which forked
 // children cannot share. The shared backing keeps a fixed-capacity table
 // inside the mapping itself, guarded by a process-shared lock, so a name
 // lazily allocated by one child is visible - at the same offset - to all.
 
+// Entries carry no initializers: the header is constructed without touching
+// the 1024-entry table (about 48 pages of an already-zero mapping), and
+// shm_add_locked writes every field before entry_count publishes an entry.
 struct ShmArenaEntry {
-  char name[152] = {};
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t align = 1;
-  std::uint32_t cls = 0;     // VarClass
-  std::uint32_t placed = 0;  // 0 = declared only, 1 = placed
+  char name[152];
+  std::uint64_t offset;
+  std::uint64_t bytes;
+  std::uint64_t align;
+  std::uint32_t cls;     // VarClass
+  std::uint32_t placed;  // 0 = declared only, 1 = placed
 };
 static_assert(sizeof(ShmArenaEntry) <= 192, "arena entry grew unexpectedly");
+static_assert(std::is_trivially_default_constructible_v<ShmArenaEntry>,
+              "default-initialising the header must leave the table alone");
 
 struct ShmArenaHeader {
   shm::ShmLockState lock;
@@ -44,13 +58,13 @@ struct ShmArenaHeader {
 
 const char* arena_backing_name(ArenaBacking b) {
   switch (b) {
-    case ArenaBacking::kPrivateHeap: return "private-heap";
+    case ArenaBacking::kPrivateMapping: return "private-mapping";
     case ArenaBacking::kSharedMapping: return "shared-mapping";
   }
   return "unknown";
 }
 
-/// Scoped metadata lock: the per-process mutex for heap backing, the
+/// Scoped metadata lock: the per-process mutex for private backing, the
 /// in-mapping futex lock for shared backing.
 class SharedArena::Guard {
  public:
@@ -97,19 +111,20 @@ SharedArena::SharedArena(std::size_t capacity_bytes, std::size_t page_size,
     guard_bytes_front_ = page_size_;
     guard_bytes_back_ = page_size_;
   }
-  storage_bytes_ = usable_bytes_ + guard_bytes_front_ + guard_bytes_back_ +
-                   page_size_;  // headroom so the usable base can be aligned
-  if (backing_ == ArenaBacking::kSharedMapping) {
-    const std::size_t header_bytes =
-        round_up(sizeof(ShmArenaHeader), page_size_);
-    mapping_ =
-        std::make_unique<shm::SharedMapping>(header_bytes + storage_bytes_);
-    shm_header_ = ::new (mapping_->data()) ShmArenaHeader();
-    shm_header_->cursor = 0;
-    shm_header_->padding_bytes = 0;
-    shm_storage_ = static_cast<std::byte*>(mapping_->data()) + header_bytes;
-  } else {
-    storage_ = std::make_unique<std::byte[]>(storage_bytes_);
+  const std::size_t storage_bytes =
+      usable_bytes_ + guard_bytes_front_ + guard_bytes_back_ +
+      page_size_;  // headroom so the usable base can be aligned
+  const bool shared = backing_ == ArenaBacking::kSharedMapping;
+  const std::size_t header_bytes =
+      shared ? round_up(sizeof(ShmArenaHeader), page_size_) : 0;
+  // Demand-zero pages: only the guard pages below are touched here.
+  mapping_ = shm::AnonMapping(header_bytes + storage_bytes,
+                              shared ? shm::AnonMapping::Sharing::kShared
+                                     : shm::AnonMapping::Sharing::kPrivate);
+  storage_ = mapping_.data() + header_bytes;
+  if (shared) {
+    // Default-initialised: the entry table stays as the mapping left it.
+    shm_header_ = ::new (mapping_.data()) ShmArenaHeader;
   }
   if (shm_header_ != nullptr) {
     shm_header_->padding_bytes = guard_bytes_front_ + guard_bytes_back_;
@@ -129,12 +144,11 @@ SharedArena::SharedArena(std::size_t capacity_bytes, std::size_t page_size,
 std::byte* SharedArena::usable_base() {
   // The usable region always begins on a page boundary: the Alliant
   // requires it, the Encore's page arithmetic assumes it, and it makes
-  // every allocation's alignment guarantee independent of where new[]
-  // (or mmap) happened to place the backing storage.
-  std::byte* raw =
-      shm_storage_ != nullptr ? shm_storage_ : storage_.get();
-  const auto addr = round_up(
-      reinterpret_cast<std::uintptr_t>(raw) + guard_bytes_front_, page_size_);
+  // every allocation's alignment guarantee independent of the host page
+  // size mmap aligned the backing storage to.
+  const auto addr =
+      round_up(reinterpret_cast<std::uintptr_t>(storage_) + guard_bytes_front_,
+               page_size_);
   return reinterpret_cast<std::byte*>(addr);
 }
 
@@ -166,11 +180,12 @@ ShmArenaEntry* SharedArena::shm_add_locked(const std::string& name,
   ShmArenaEntry& e = shm_header_->entries[shm_header_->entry_count];
   std::memcpy(e.name, name.data(), name.size());
   e.name[name.size()] = '\0';
+  e.offset = 0;
   e.bytes = bytes;
   e.align = align;
   e.cls = static_cast<std::uint32_t>(cls);
   e.placed = 0;
-  ++shm_header_->entry_count;  // publish only after the fields are written
+  ++shm_header_->entry_count;  // publish only after every field is written
   return &e;
 }
 
@@ -457,11 +472,9 @@ void SharedArena::for_each_allocation(
 
 PrivateSpace::PrivateSpace(std::size_t data_bytes, std::size_t stack_bytes) {
   data_.capacity = data_bytes;
-  data_.parent = std::make_unique<std::byte[]>(data_bytes);
-  std::memset(data_.parent.get(), 0, data_bytes);
+  data_.parent = zeroed_segment(data_bytes);
   stack_.capacity = stack_bytes;
-  stack_.parent = std::make_unique<std::byte[]>(stack_bytes);
-  std::memset(stack_.parent.get(), 0, stack_bytes);
+  stack_.parent = zeroed_segment(stack_bytes);
 }
 
 std::size_t PrivateSpace::register_slot(Region region, std::size_t bytes,
@@ -477,7 +490,7 @@ std::size_t PrivateSpace::register_slot(Region region, std::size_t bytes,
 void* PrivateSpace::parent_ptr(Region region, std::size_t offset) {
   RegionState& r = state(region);
   FORCE_CHECK(offset < r.capacity, "private offset out of range");
-  return r.parent.get() + offset;
+  return r.parent.data() + offset;
 }
 
 void PrivateSpace::materialize(int nproc, InitMode mode) {
@@ -486,37 +499,50 @@ void PrivateSpace::materialize(int nproc, InitMode mode) {
   nproc_ = nproc;
   bytes_copied_ = 0;
 
-  auto make_copies = [&](RegionState& r, bool copy_from_parent) {
-    r.per_process.resize(static_cast<std::size_t>(nproc));
-    for (auto& seg : r.per_process) {
-      seg = std::make_unique<std::byte[]>(r.capacity);
-      if (copy_from_parent) {
-        std::memcpy(seg.get(), r.parent.get(), r.capacity);
-        bytes_copied_ += r.capacity;
-      } else {
-        std::memset(seg.get(), 0, r.capacity);
-      }
+  // Segments lie back to back, each at the alignment new[] gives.
+  const auto np = static_cast<std::size_t>(nproc);
+  auto make_copies = [&](RegionState& r) {
+    r.stride = round_up(r.capacity, alignof(std::max_align_t));
+    r.copies = std::make_unique_for_overwrite<std::byte[]>(np * r.stride);
+    r.members = r.copies.get();
+    for (std::size_t p = 0; p < np; ++p) {
+      // copy_n, not memcpy: a zero-byte region has no parent pages at all.
+      std::copy_n(r.parent.data(), r.capacity, r.members + p * r.stride);
+      bytes_copied_ += r.capacity;
     }
-    r.aliased_to_parent = false;
+  };
+  auto make_zeroed = [&](RegionState& r) {
+    r.stride = round_up(r.capacity, alignof(std::max_align_t));
+    r.zeroed = zeroed_segment(np * r.stride);
+    r.members = r.zeroed.data();
+  };
+  auto alias_parent = [](RegionState& r) {
+    r.stride = 0;
+    r.members = r.parent.data();
   };
 
   switch (mode) {
     case InitMode::kCopyBoth:
       // Unix fork: "a complete copy of the data and stack is produced for
       // each forked process" (paper §4.1.1).
-      make_copies(data_, /*copy_from_parent=*/true);
-      make_copies(stack_, /*copy_from_parent=*/true);
+      make_copies(data_);
+      make_copies(stack_);
       break;
     case InitMode::kShareDataCopyStack:
       // Alliant: data segments shared, only the stack is private.
-      data_.per_process.clear();
-      data_.aliased_to_parent = true;
-      make_copies(stack_, /*copy_from_parent=*/true);
+      alias_parent(data_);
+      make_copies(stack_);
       break;
     case InitMode::kZeroBoth:
       // HEP: a created process starts a fresh subroutine activation.
-      make_copies(data_, /*copy_from_parent=*/false);
-      make_copies(stack_, /*copy_from_parent=*/false);
+      make_zeroed(data_);
+      make_zeroed(stack_);
+      break;
+    case InitMode::kAliasParent:
+      // Real fork(2): the same complete copy, made by the kernel page by
+      // page on write in each child's own address space.
+      alias_parent(data_);
+      alias_parent(stack_);
       break;
   }
   materialized_ = true;
@@ -527,8 +553,7 @@ void* PrivateSpace::ptr(int proc, Region region, std::size_t offset) {
   FORCE_CHECK(proc >= 0 && proc < nproc_, "process id out of range");
   RegionState& r = state(region);
   FORCE_CHECK(offset < r.capacity, "private offset out of range");
-  if (r.aliased_to_parent) return r.parent.get() + offset;
-  return r.per_process[static_cast<std::size_t>(proc)].get() + offset;
+  return r.members + static_cast<std::size_t>(proc) * r.stride + offset;
 }
 
 }  // namespace force::machdep

@@ -48,18 +48,22 @@ const char* sharing_strategy_name(SharingStrategy s);
 /// Storage class of an allocation, mirroring the Force declaration macros.
 enum class VarClass { kShared, kAsync };
 
-/// What backs the arena's pages.
+/// What backs the arena's pages. Both are demand-zero anonymous mappings
+/// (shm::AnonMapping): constructing an arena touches only its guard pages,
+/// and a page costs a fault the first time a variable placed on it is used.
 ///
-///   * kPrivateHeap    - ordinary heap storage; "sharing" means the thread-
-///                       emulated processes all see one address space.
-///   * kSharedMapping  - one mmap(MAP_SHARED | MAP_ANONYMOUS) region created
-///                       before fork(), so real child processes share the
-///                       pages (the kOsFork backend). The allocation
-///                       *metadata* (cursor + name table) lives inside the
-///                       mapping too, under a process-shared lock, so a
-///                       name lazily allocated by one child resolves to the
-///                       same offset in every other.
-enum class ArenaBacking { kPrivateHeap, kSharedMapping };
+///   * kPrivateMapping - one MAP_PRIVATE mapping, i.e. ordinary process
+///                       memory; "sharing" means the thread-emulated
+///                       processes all see one address space (a cluster
+///                       peer gets a copy-on-write image at fork).
+///   * kSharedMapping  - one MAP_SHARED mapping created before fork(), so
+///                       real child processes share the pages (the kOsFork
+///                       backend). The allocation *metadata* (cursor + name
+///                       table) lives inside the mapping too, under a
+///                       process-shared lock, so a name lazily allocated by
+///                       one child resolves to the same offset in every
+///                       other.
+enum class ArenaBacking { kPrivateMapping, kSharedMapping };
 
 const char* arena_backing_name(ArenaBacking b);
 
@@ -77,7 +81,7 @@ class SharedArena {
   /// lives in one MAP_SHARED mapping so forked processes stay coherent.
   SharedArena(std::size_t capacity_bytes, std::size_t page_size,
               SharingStrategy strategy,
-              ArenaBacking backing = ArenaBacking::kPrivateHeap);
+              ArenaBacking backing = ArenaBacking::kPrivateMapping);
 
   SharedArena(const SharedArena&) = delete;
   SharedArena& operator=(const SharedArena&) = delete;
@@ -180,7 +184,7 @@ class SharedArena {
     std::size_t align = 1;
   };
 
-  /// Locks either the per-process mutex (heap backing) or the in-mapping
+  /// Locks either the per-process mutex (private backing) or the in-mapping
   /// process-shared lock (shared backing), so every metadata operation is
   /// coherent across forked children.
   class Guard;
@@ -208,18 +212,17 @@ class SharedArena {
   std::size_t usable_bytes_ = 0;
   std::size_t cursor_ = 0;
   std::size_t padding_bytes_ = 0;
-  /// Heap-backing placement generation (the shared backing keeps its
+  /// Private-backing placement generation (the shared backing keeps its
   /// counter in ShmArenaHeader so children agree); atomic so generation()
   /// reads need no Guard.
   std::atomic<std::uint64_t> generation_{0};
   bool linked_ = false;
-  std::unique_ptr<std::byte[]> storage_;
-  std::size_t storage_bytes_ = 0;
   std::map<std::string, Allocation> allocations_;
-  // kSharedMapping only: the mapping holds [metadata header][storage pages].
-  std::unique_ptr<shm::SharedMapping> mapping_;
+  // The mapping holds [storage pages], preceded under kSharedMapping by the
+  // in-mapping metadata header; storage_ points past the header.
+  shm::AnonMapping mapping_;
+  std::byte* storage_ = nullptr;
   ShmArenaHeader* shm_header_ = nullptr;
-  std::byte* shm_storage_ = nullptr;
 };
 
 /// Per-process private storage, split into a data region and a stack region
@@ -232,13 +235,26 @@ class SharedArena {
 ///     the stack region is per-process, copied from the parent;
 ///   * HEP create: both regions are fresh zeroed storage per process.
 ///
+/// Those three are emulated over threads, so the copies are made here, by
+/// the parent, and counted. The real-process backends (os-fork, cluster)
+/// instead alias every member to the parent segments: each member is a
+/// fork(2) child that already holds its own copy-on-write image of them, so
+/// a user-space copy would only duplicate what the kernel does on write.
+///
+/// Segments that start zeroed (the parent's, and HEP's per-process ones)
+/// are demand-zero private mappings (shm::AnonMapping); the emulated
+/// copies are plain heap memory that the copy overwrites whole.
+///
 /// Offsets are registered before materialize(); the Force runtime places
 /// its private variables in whichever region the machine model says is
 /// genuinely private.
 class PrivateSpace {
  public:
   enum class Region { kData, kStack };
-  enum class InitMode { kCopyBoth, kShareDataCopyStack, kZeroBoth };
+  /// kAliasParent is for members that are separate address spaces only:
+  /// threads given it would all share the parent segments.
+  enum class InitMode { kCopyBoth, kShareDataCopyStack, kZeroBoth,
+                        kAliasParent };
 
   PrivateSpace(std::size_t data_bytes, std::size_t stack_bytes);
 
@@ -253,11 +269,14 @@ class PrivateSpace {
   /// Creates the per-process segments for `nproc` processes.
   void materialize(int nproc, InitMode mode);
   [[nodiscard]] bool materialized() const { return materialized_; }
-  /// Total bytes copied during materialize (the fork cost driver).
+  /// Total bytes copied in user space during materialize (the fork cost
+  /// driver of the emulated models). 0 under kZeroBoth and kAliasParent:
+  /// a real fork copies nothing here, the kernel copies pages on write.
   [[nodiscard]] std::size_t bytes_copied() const { return bytes_copied_; }
 
   /// Pointer for process `proc` (0-based). Under kShareDataCopyStack the
-  /// data region resolves to the parent's buffer for every process.
+  /// data region resolves to the parent's buffer for every process; under
+  /// kAliasParent both regions do (in the caller's own address space).
   [[nodiscard]] void* ptr(int proc, Region region, std::size_t offset);
 
   [[nodiscard]] int nproc() const { return nproc_; }
@@ -266,9 +285,15 @@ class PrivateSpace {
   struct RegionState {
     std::size_t capacity = 0;
     std::size_t cursor = 0;
-    std::unique_ptr<std::byte[]> parent;
-    std::vector<std::unique_ptr<std::byte[]>> per_process;
-    bool aliased_to_parent = false;
+    shm::AnonMapping parent;
+    // Process p's segment starts at members + p * stride; stride 0 aliases
+    // every process to the parent's segment. `copies` owns the block under
+    // the copy modes (written whole, so never zeroed first), `zeroed` under
+    // kZeroBoth (demand-zero pages).
+    std::byte* members = nullptr;
+    std::size_t stride = 0;
+    std::unique_ptr<std::byte[]> copies;
+    shm::AnonMapping zeroed;
   };
   RegionState& state(Region r) {
     return r == Region::kData ? data_ : stack_;

@@ -14,6 +14,7 @@
 #include "machdep/shm.hpp"
 #include "machdep/teampool.hpp"
 #include "util/check.hpp"
+#include "util/timing.hpp"
 
 namespace force::machdep {
 
@@ -705,13 +706,20 @@ class ThreadBackend final : public ExecutionBackend {
     if (!team_pool_enabled_) {
       return machine_->process_team().run(nproc, space, member);
     }
+    // Creation is timed from before the private copies and the lazy pool
+    // spawn, as ForkTeamPool::run times its own: both are the cost of
+    // creating this force's processes.
+    const std::int64_t t0 = util::now_ns();
     if (space != nullptr) {
       // Same fork-time copy semantics as the one-shot team; the pool only
       // changes who executes the members, not what they inherit.
       space->materialize(nproc,
                          init_mode_for(machine_->process_team().kind()));
     }
-    SpawnStats stats = team_pool().run(nproc, member);
+    TeamPool& pool = team_pool();
+    const std::int64_t setup_ns = util::now_ns() - t0;
+    SpawnStats stats = pool.run(nproc, member);
+    stats.create_ns += setup_ns;
     if (space != nullptr) stats.bytes_copied = space->bytes_copied();
     return stats;
   }

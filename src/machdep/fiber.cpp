@@ -1,7 +1,6 @@
 #include "machdep/fiber.hpp"
 
 #include <exception>
-#include <memory>
 #include <thread>
 
 #include "util/check.hpp"
@@ -34,8 +33,7 @@ namespace {
 
 struct Fiber {
   ucontext_t ctx{};
-  std::unique_ptr<std::byte[]> stack;
-  std::size_t stack_bytes = 0;
+  shm::AnonMapping stack;
   std::function<void()> body;
   bool done = false;
   std::exception_ptr error;
@@ -60,8 +58,8 @@ thread_local SchedState* g_sched = nullptr;
 
 #if defined(FORCE_FIBER_ASAN)
 inline void asan_enter_fiber(SchedState* s, Fiber* f) {
-  __sanitizer_start_switch_fiber(&s->asan_fake_stack, f->stack.get(),
-                                 f->stack_bytes);
+  __sanitizer_start_switch_fiber(&s->asan_fake_stack, f->stack.data(),
+                                 f->stack.size());
 }
 inline void asan_back_in_sched(SchedState* s) {
   __sanitizer_finish_switch_fiber(s->asan_fake_stack, nullptr, nullptr);
@@ -143,16 +141,17 @@ void MemberScheduler::run(std::vector<std::function<void()>> bodies) {
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     Fiber& f = fibers[i];
     f.body = std::move(bodies[i]);
-    f.stack_bytes = stack_bytes_;
     if (!free_stacks_.empty()) {
       f.stack = std::move(free_stacks_.back());
       free_stacks_.pop_back();
     } else {
-      f.stack = std::make_unique<std::byte[]>(stack_bytes_);
+      // Demand-zero: a member faults in only the stack depth it reaches.
+      f.stack = shm::AnonMapping(stack_bytes_,
+                                 shm::AnonMapping::Sharing::kPrivate);
     }
     FORCE_CHECK(getcontext(&f.ctx) == 0, "getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = stack_bytes_;
+    f.ctx.uc_stack.ss_sp = f.stack.data();
+    f.ctx.uc_stack.ss_size = f.stack.size();
     f.ctx.uc_link = &state.main_ctx;  // never taken; trampoline swaps out
     const auto addr = reinterpret_cast<std::uintptr_t>(&f);
     makecontext(&f.ctx, reinterpret_cast<void (*)()>(trampoline), 2,

@@ -22,8 +22,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
+
+#include "machdep/shm.hpp"
 
 namespace force::machdep {
 
@@ -57,7 +58,7 @@ class MemberScheduler {
   // scheduler once per force; re-allocating (and first-touch faulting) its
   // members' stacks every entry dominated pooled re-entry cost, so a
   // long-lived scheduler hands the same warm pages to the next force.
-  std::vector<std::unique_ptr<std::byte[]>> free_stacks_;
+  std::vector<shm::AnonMapping> free_stacks_;
 };
 
 }  // namespace force::machdep

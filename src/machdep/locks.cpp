@@ -371,9 +371,15 @@ void CombinedLock::acquire() {
     }
     return;
   }
+  // The sleeper advertises itself, then re-checks held_; release() clears
+  // held_, then checks for sleepers. Both store-then-load pairs must be
+  // seq_cst: with weaker orders each side can miss the other's store (the
+  // x86 store buffer does exactly that), the release skips the notify and
+  // the sleeper never wakes.
   std::unique_lock<std::mutex> lk(m_);
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
-  cv_.wait(lk, [&] { return !held_.exchange(true, std::memory_order_acquire); });
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  cv_.wait(lk,
+           [&] { return !held_.exchange(true, std::memory_order_seq_cst); });
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -384,8 +390,8 @@ bool CombinedLock::try_acquire() {
 
 void CombinedLock::release() {
   bump(counters_, &LockCounters::releases);
-  held_.store(false, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
+  held_.store(false, std::memory_order_seq_cst);  // see acquire()
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // Taking the mutex orders this notify after any in-flight wait entry,
     // so a sleeper cannot miss the wakeup.
     std::lock_guard<std::mutex> lk(m_);

@@ -47,11 +47,14 @@ PrivateSpace::Region private_region_for(ProcessModelKind kind) {
 PrivateSpace::InitMode init_mode_for(ProcessModelKind kind) {
   switch (kind) {
     case ProcessModelKind::kForkJoinCopy:
+      // The emulated fork charges the copies of data and stack to
+      // creation time.
+      return PrivateSpace::InitMode::kCopyBoth;
     case ProcessModelKind::kOsFork:
     case ProcessModelKind::kCluster:
-      // Real fork gives every child COW copies of data and stack; the
-      // emulated kCopyBoth charges the same copies to creation time.
-      return PrivateSpace::InitMode::kCopyBoth;
+      // Real fork already gives every child copy-on-write images of data
+      // and stack; copying them again in the parent would be pure waste.
+      return PrivateSpace::InitMode::kAliasParent;
     case ProcessModelKind::kForkSharedData:
       return PrivateSpace::InitMode::kShareDataCopyStack;
     case ProcessModelKind::kHepCreate:
@@ -146,10 +149,11 @@ SpawnStats ProcessTeam::run_os_fork(
   // the poison word and the slots at the same virtual address.
   const std::size_t control_bytes =
       sizeof(TeamControl) + static_cast<std::size_t>(nproc) * sizeof(ProcSlot);
-  shm::SharedMapping control(control_bytes);
+  shm::AnonMapping control(control_bytes,
+                           shm::AnonMapping::Sharing::kShared);
   auto* team = ::new (control.data()) TeamControl();
-  auto* slots = reinterpret_cast<ProcSlot*>(
-      static_cast<std::byte*>(control.data()) + sizeof(TeamControl));
+  auto* slots =
+      reinterpret_cast<ProcSlot*>(control.data() + sizeof(TeamControl));
   for (int p = 0; p < nproc; ++p) {
     std::strncpy(slots[p].site, "startup", sizeof(slots[p].site) - 1);
     slots[p].error[0] = '\0';

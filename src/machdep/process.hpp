@@ -19,7 +19,9 @@
 // ProcessModelKind::kOsFork leaves emulation behind: ProcessTeam::run
 // spawns real child processes with fork(2). Shared state must then live in
 // MAP_SHARED pages (SharedArena with ArenaBacking::kSharedMapping) and all
-// synchronization must be process-shared (machdep/shm.*). Join is robust:
+// synchronization must be process-shared (machdep/shm.*). Privates need no
+// copy: each child inherits them through fork's own copy-on-write image
+// (PrivateSpace::InitMode::kAliasParent, bytes_copied = 0). Join is robust:
 // children are reaped with waitpid, a death is surfaced as a structured
 // ProcessDeathError naming the process and its last-known construct site,
 // and the surviving processes are released within a bounded wait by

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -94,20 +95,35 @@ void note_site(const char* label) {
   slot[cap - 1] = '\0';
 }
 
-// --- shared anonymous mappings ---------------------------------------------
+// --- anonymous mappings ----------------------------------------------------
 
-SharedMapping::SharedMapping(std::size_t bytes) : bytes_(bytes) {
-  FORCE_CHECK(bytes > 0, "shared mapping must have a size");
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  FORCE_CHECK(p != MAP_FAILED, "mmap(MAP_SHARED) failed for " +
+AnonMapping::AnonMapping(std::size_t bytes, Sharing sharing) : bytes_(bytes) {
+  if (bytes == 0) return;
+  const int flags = MAP_ANONYMOUS |
+                    (sharing == Sharing::kShared ? MAP_SHARED : MAP_PRIVATE);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
+  FORCE_CHECK(p != MAP_FAILED, "anonymous mmap failed for " +
                                    std::to_string(bytes) + " bytes");
-  data_ = p;  // anonymous mappings are zero-filled, a valid initial state
-              // for every shm state struct in this file
+  // Demand-zero pages: a valid initial state for every shm state struct in
+  // this file, and for every buffer the runtime wants zeroed.
+  data_ = static_cast<std::byte*>(p);
 }
 
-SharedMapping::~SharedMapping() {
+AnonMapping::~AnonMapping() {
   if (data_ != nullptr) ::munmap(data_, bytes_);
+}
+
+AnonMapping::AnonMapping(AnonMapping&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      bytes_(std::exchange(other.bytes_, 0)) {}
+
+AnonMapping& AnonMapping::operator=(AnonMapping&& other) noexcept {
+  if (this != &other) {
+    if (data_ != nullptr) ::munmap(data_, bytes_);
+    data_ = std::exchange(other.data_, nullptr);
+    bytes_ = std::exchange(other.bytes_, 0);
+  }
+  return *this;
 }
 
 // --- process-shared lock ---------------------------------------------------

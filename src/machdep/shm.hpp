@@ -20,6 +20,10 @@
 // All state structs are trivially destructible PODs so they can live in
 // the SharedArena (which reclaims storage as raw bytes) and be addressed
 // by name from every process.
+//
+// AnonMapping, the demand-zero anonymous mapping under the arena, the
+// private segments and the fiber stacks, lives here too: its shared flavour
+// is what makes the arena visible across fork().
 #pragma once
 
 #include <atomic>
@@ -88,26 +92,41 @@ void set_site_slot(char* slot, std::size_t capacity);
 /// Records `label` in the installed slot (no-op when none is installed).
 void note_site(const char* label);
 
-// --- shared anonymous mappings ---------------------------------------------
+// --- anonymous mappings ----------------------------------------------------
 
-/// RAII over one mmap(MAP_SHARED | MAP_ANONYMOUS) region. Created before
-/// fork(); parent and children then address the same pages at the same
-/// virtual address. Unmapped by whichever processes destroy it; the pages
-/// themselves live until the last mapping goes.
-class SharedMapping {
+/// RAII over one anonymous mmap region. Its pages are demand-zero: the
+/// kernel maps a zeroed page on first touch, so a buffer that must start
+/// zeroed costs nothing until it is used, and fork(2) copies the page
+/// tables of only the pages that were touched. Runtime-owned buffers that
+/// start zeroed (arena storage, private segments, fiber stacks) use this
+/// instead of value-initialised heap memory.
+///
+///   * kPrivate - MAP_PRIVATE: ordinary process memory; a forked child
+///                gets its own copy-on-write image.
+///   * kShared  - MAP_SHARED: created before fork(); parent and children
+///                then address the same pages at the same virtual address.
+///                The pages live until the last process unmaps them.
+///
+/// A zero-byte mapping is empty (data() is null). Movable, not copyable.
+class AnonMapping {
  public:
-  explicit SharedMapping(std::size_t bytes);
-  ~SharedMapping();
+  enum class Sharing { kPrivate, kShared };
 
-  SharedMapping(const SharedMapping&) = delete;
-  SharedMapping& operator=(const SharedMapping&) = delete;
+  AnonMapping() = default;
+  AnonMapping(std::size_t bytes, Sharing sharing);
+  ~AnonMapping();
 
-  [[nodiscard]] void* data() { return data_; }
-  [[nodiscard]] const void* data() const { return data_; }
+  AnonMapping(AnonMapping&& other) noexcept;
+  AnonMapping& operator=(AnonMapping&& other) noexcept;
+  AnonMapping(const AnonMapping&) = delete;
+  AnonMapping& operator=(const AnonMapping&) = delete;
+
+  [[nodiscard]] std::byte* data() { return data_; }
+  [[nodiscard]] const std::byte* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return bytes_; }
 
  private:
-  void* data_ = nullptr;
+  std::byte* data_ = nullptr;
   std::size_t bytes_ = 0;
 };
 

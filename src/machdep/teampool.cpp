@@ -189,10 +189,11 @@ ForkTeamPool::~ForkTeamPool() { shutdown(); }
 void ForkTeamPool::spawn(const std::function<void(int)>& entry) {
   const std::size_t bytes =
       sizeof(PoolControl) + static_cast<std::size_t>(nproc_) * sizeof(PoolSlot);
-  control_ = std::make_unique<shm::SharedMapping>(bytes);
+  control_ = std::make_unique<shm::AnonMapping>(
+      bytes, shm::AnonMapping::Sharing::kShared);
   ctl_ = ::new (control_->data()) PoolControl();
-  slots_ = reinterpret_cast<PoolSlot*>(
-      static_cast<std::byte*>(control_->data()) + sizeof(PoolControl));
+  slots_ =
+      reinterpret_cast<PoolSlot*>(control_->data() + sizeof(PoolControl));
   for (int p = 0; p < nproc_; ++p) {
     ::new (&slots_[p]) PoolSlot();
     std::strncpy(slots_[p].site, "pool-parked", sizeof(slots_[p].site) - 1);

@@ -46,7 +46,7 @@ namespace force::machdep {
 class MemberScheduler;  // machdep/fiber.hpp
 
 namespace shm {
-class SharedMapping;  // machdep/shm.hpp
+class AnonMapping;  // machdep/shm.hpp
 }
 
 /// Persistent thread-axis team: W workers executing forces of any width.
@@ -130,7 +130,7 @@ class ForkTeamPool {
   int nproc_;
   std::uint32_t generation_ = 0;
   bool alive_ = false;
-  std::unique_ptr<shm::SharedMapping> control_;
+  std::unique_ptr<shm::AnonMapping> control_;
   PoolControl* ctl_ = nullptr;
   PoolSlot* slots_ = nullptr;
   std::vector<long> pids_;

@@ -5,7 +5,10 @@
 
 #include <cstring>
 
+#include "core/force.hpp"
 #include "machdep/arena.hpp"
+#include "machdep/process.hpp"
+#include "resident.hpp"
 #include "util/check.hpp"
 
 namespace md = force::machdep;
@@ -113,6 +116,26 @@ TEST(Arena, FillingTheWholeRegionKeepsGuardsIntact) {
   std::memset(a, 0xFF, kPage);
   std::memset(b, 0xFF, kPage);
   EXPECT_TRUE(arena.guards_intact());
+}
+
+TEST(Arena, GuardsHoldOnBothMappingBackings) {
+  // Arena storage is a demand-zero mapping under both backings: the usable
+  // region reads zero without having been written, and the guard fill
+  // still brackets it exactly.
+  for (auto backing :
+       {md::ArenaBacking::kPrivateMapping, md::ArenaBacking::kSharedMapping}) {
+    md::SharedArena arena(4 * kPage, kPage,
+                          md::SharingStrategy::kRuntimePadded, backing);
+    auto* first = static_cast<unsigned char*>(
+        arena.allocate("first", kPage, 1, md::VarClass::kShared));
+    for (std::size_t i = 0; i < kPage; ++i) {
+      ASSERT_EQ(first[i], 0u) << md::arena_backing_name(backing);
+    }
+    std::memset(arena.raw_bytes(), 0xFF, arena.capacity());
+    EXPECT_TRUE(arena.guards_intact()) << md::arena_backing_name(backing);
+    arena.corrupt_guard_for_test();
+    EXPECT_FALSE(arena.guards_intact()) << md::arena_backing_name(backing);
+  }
 }
 
 TEST(Arena, CompileTimeStrategyHasNoGuards) {
@@ -232,6 +255,41 @@ TEST(PrivateSpace, AlliantSharesDataCopiesStack) {
   EXPECT_EQ(space.bytes_copied(), 2u * 1024u);  // stacks only
 }
 
+TEST(PrivateSpace, RealForkAliasesParentAndCopiesNothing) {
+  // os-fork / cluster members are fork(2) children: each already holds a
+  // copy-on-write image of the parent segments, so every member addresses
+  // them and the parent copies nothing.
+  md::PrivateSpace space(1024, 1024);
+  const auto off = space.register_slot(md::PrivateSpace::Region::kData, 8, 8);
+  *static_cast<std::int64_t*>(
+      space.parent_ptr(md::PrivateSpace::Region::kData, off)) = 77;
+  space.materialize(3, md::PrivateSpace::InitMode::kAliasParent);
+  for (int p = 0; p < 3; ++p) {
+    for (auto region :
+         {md::PrivateSpace::Region::kData, md::PrivateSpace::Region::kStack}) {
+      EXPECT_EQ(space.ptr(p, region, off), space.parent_ptr(region, off));
+    }
+  }
+  EXPECT_EQ(space.bytes_copied(), 0u);
+  EXPECT_EQ(md::init_mode_for(md::ProcessModelKind::kOsFork),
+            md::PrivateSpace::InitMode::kAliasParent);
+  EXPECT_EQ(md::init_mode_for(md::ProcessModelKind::kCluster),
+            md::PrivateSpace::InitMode::kAliasParent);
+}
+
+TEST(PrivateSpace, EmptyRegionsMaterializeUnderEveryMode) {
+  for (auto mode : {md::PrivateSpace::InitMode::kCopyBoth,
+                    md::PrivateSpace::InitMode::kShareDataCopyStack,
+                    md::PrivateSpace::InitMode::kZeroBoth,
+                    md::PrivateSpace::InitMode::kAliasParent}) {
+    md::PrivateSpace space(0, 0);
+    space.materialize(2, mode);
+    EXPECT_EQ(space.bytes_copied(), 0u);
+    EXPECT_THROW((void)space.ptr(1, md::PrivateSpace::Region::kData, 0),
+                 CheckError);
+  }
+}
+
 TEST(PrivateSpace, RegisterAfterMaterializeThrows) {
   md::PrivateSpace space(64, 64);
   space.materialize(1, md::PrivateSpace::InitMode::kZeroBoth);
@@ -263,4 +321,17 @@ TEST(SharingStrategyNames, AllDistinct) {
   EXPECT_STREQ(
       md::sharing_strategy_name(md::SharingStrategy::kPageAlignedStart),
       "page-aligned-start");
+}
+
+// --- demand-zero storage --------------------------------------------------------
+
+TEST(DemandZero, ThreadForceWithLargeArenaStaysSmall) {
+  // A 256 MiB arena plus the private segments is reserved, not touched:
+  // constructing the Force must not fault the storage in.
+  force::ForceConfig cfg;
+  cfg.nproc = 4;
+  cfg.arena_bytes = force::test_support::kLargeArenaBytes;
+  const long long growth = force::test_support::force_construction_growth(cfg);
+  if (growth < 0) GTEST_SKIP() << "no /proc/self/statm on this host";
+  EXPECT_LT(growth, force::test_support::kConstructionGrowthLimit);
 }

@@ -28,8 +28,10 @@
 #include <string>
 
 #include "core/force.hpp"
+#include "core/privatevar.hpp"
 #include "machdep/cluster.hpp"
 #include "machdep/process.hpp"
+#include "resident.hpp"
 #include "util/check.hpp"
 
 namespace fc = force::core;
@@ -272,6 +274,50 @@ TEST(ClusterTransport, LoopbackTcpRunsTheSameProgram) {
     ctx.barrier();
   });
   EXPECT_EQ(total, 1 + 4 + 9 + 16);
+}
+
+// --- privates and memory: fork(2) does the copying ---------------------------
+
+TEST(ClusterPrivate, SeedIsInheritedThroughForkAndWritesStayLocal) {
+  // Peers are fork(2) children: a private seeded before the first run is
+  // in each peer's copy-on-write image, and a peer's write reaches neither
+  // its siblings, nor the driver, nor the peers of the next run.
+  constexpr int kPeers = 3;
+  force::Force f(cluster_config(kPeers));
+  fc::Private<std::int64_t> seed(f.env());
+  seed.parent() = 123;
+  auto& seen = f.shared<std::array<std::int64_t, kPeers>>("seen");
+  auto& after = f.shared<std::array<std::int64_t, kPeers>>("after");
+  for (int run = 0; run < 2; ++run) {
+    seen = {};
+    after = {};
+    const auto stats = f.run([&](fc::Ctx& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.me0());
+      seen[me] = seed.get(ctx);
+      ctx.barrier();
+      seed.get(ctx) = 1000 + ctx.me();
+      ctx.barrier();
+      after[me] = seed.get(ctx);
+      ctx.barrier();
+    });
+    EXPECT_EQ(stats.bytes_copied, 0u);
+    for (int p = 0; p < kPeers; ++p) {
+      const auto slot = static_cast<std::size_t>(p);
+      EXPECT_EQ(seen[slot], 123) << "run " << run << " peer " << p;
+      EXPECT_EQ(after[slot], 1000 + p + 1) << "run " << run << " peer " << p;
+      EXPECT_EQ(seed.for_process(p), 123)
+          << "a peer's private write reached the driver";
+    }
+  }
+}
+
+TEST(ClusterPrivate, ForceConstructionDoesNotTouchALargeArena) {
+  force::ForceConfig cfg = cluster_config(4);
+  cfg.arena_bytes = force::test_support::kLargeArenaBytes;
+  const long long growth =
+      force::test_support::force_construction_growth(cfg);
+  if (growth < 0) GTEST_SKIP() << "no /proc/self/statm on this host";
+  EXPECT_LT(growth, force::test_support::kConstructionGrowthLimit);
 }
 
 // --- DSM coherence edges -----------------------------------------------------

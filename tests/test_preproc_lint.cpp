@@ -6,6 +6,7 @@
 // behave as documented.
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -57,36 +58,41 @@ std::vector<std::string> rule_ids(const fp::DiagSink& diags) {
 
 // --- per-rule fixture detection ---------------------------------------------
 
+constexpr const char* kRuleFixtureFiles[] = {
+    "r1_divergent_barrier.force", "r2_unprotected_shared.force",
+    "r3_async_protocol.force",    "r4_lock_order.force",
+    "r5_doall_dependence.force",  "r6_code_after_join.force",
+    "r1_xproc_divergent_call.force", "r4_xproc_lock_order.force",
+};
+
+// Plain integers, not string pointers: gtest prints this parameter as its raw
+// bytes and ctest's discovered test names embed that dump, so a pointer field
+// would give the same case a different name on every build.
 struct RuleFixture {
-  const char* file;
-  const char* rule_id;
+  std::size_t file;  // index into kRuleFixtureFiles
+  std::size_t rule;  // the fixture must trip force-lint-R<rule>
 };
 
 class LintFixtureTest : public ::testing::TestWithParam<RuleFixture> {};
 
 TEST_P(LintFixtureTest, SeededFixtureTripsItsRule) {
-  const RuleFixture& p = GetParam();
+  const std::string file = kRuleFixtureFiles[GetParam().file];
+  const std::string rule_id = "force-lint-R" + std::to_string(GetParam().rule);
   fp::DiagSink diags;
-  const fp::LintResult res = lint(fixture(p.file), diags);
-  EXPECT_GT(res.findings, 0u) << p.file;
-  EXPECT_TRUE(has_rule(diags, p.rule_id))
-      << p.file << " did not trip " << p.rule_id << "; got:\n"
-      << diags.render_all(p.file);
+  const fp::LintResult res = lint(fixture(file), diags);
+  EXPECT_GT(res.findings, 0u) << file;
+  EXPECT_TRUE(has_rule(diags, rule_id))
+      << file << " did not trip " << rule_id << "; got:\n"
+      << diags.render_all(file);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllRules, LintFixtureTest,
-    ::testing::Values(
-        RuleFixture{"r1_divergent_barrier.force", "force-lint-R1"},
-        RuleFixture{"r2_unprotected_shared.force", "force-lint-R2"},
-        RuleFixture{"r3_async_protocol.force", "force-lint-R3"},
-        RuleFixture{"r4_lock_order.force", "force-lint-R4"},
-        RuleFixture{"r5_doall_dependence.force", "force-lint-R5"},
-        RuleFixture{"r6_code_after_join.force", "force-lint-R6"},
-        RuleFixture{"r1_xproc_divergent_call.force", "force-lint-R1"},
-        RuleFixture{"r4_xproc_lock_order.force", "force-lint-R4"}),
+    ::testing::Values(RuleFixture{0, 1}, RuleFixture{1, 2}, RuleFixture{2, 3},
+                      RuleFixture{3, 4}, RuleFixture{4, 5}, RuleFixture{5, 6},
+                      RuleFixture{6, 1}, RuleFixture{7, 4}),
     [](const auto& info) {
-      std::string name = info.param.file;
+      std::string name = kRuleFixtureFiles[info.param.file];
       name = name.substr(0, name.rfind(".force"));
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';

@@ -18,7 +18,9 @@
 #include <thread>
 
 #include "core/force.hpp"
+#include "core/privatevar.hpp"
 #include "machdep/process.hpp"
+#include "resident.hpp"
 #include "util/check.hpp"
 
 namespace core = force::core;
@@ -111,6 +113,60 @@ TEST(ForkBackend, RepeatedRunsReuseTheArenaState) {
     });
   }
   EXPECT_EQ(counter, 3 * kNproc);
+}
+
+// --- privates and memory: fork(2) does the copying -------------------------
+
+// A private seeded through parent() before the first run reaches every
+// child through fork's own copy-on-write image, not a parent-side copy. A
+// member's write stays in its own address space: siblings never see it,
+// nor does the driver, nor the children of the next respawned run. A
+// resident pooled child keeps its own image across runs.
+TEST(ForkBackend, PrivateSeedIsInheritedThroughFork) {
+  for (const bool pooled : {false, true}) {
+    force::ForceConfig cfg = fork_config();
+    cfg.team_pool = pooled;
+    force::Force f(cfg);
+    core::Private<std::int64_t> seed(f.env());
+    seed.parent() = 123;
+    auto& seen = f.shared<std::array<std::int64_t, kNproc>>("seen");
+    auto& after = f.shared<std::array<std::int64_t, kNproc>>("after");
+    const auto program = [&](core::Ctx& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.me0());
+      seen[me] = seed.get(ctx);
+      ctx.barrier();
+      seed.get(ctx) = 1000 + ctx.me();
+      ctx.barrier();
+      after[me] = seed.get(ctx);
+    };
+    for (int run = 0; run < 2; ++run) {
+      seen = {};
+      after = {};
+      const auto stats = f.run(program);
+      EXPECT_EQ(stats.bytes_copied, 0u);
+      for (int p = 0; p < kNproc; ++p) {
+        const auto slot = static_cast<std::size_t>(p);
+        const std::int64_t own = 1000 + p + 1;
+        const std::int64_t expected_seen = (pooled && run > 0) ? own : 123;
+        EXPECT_EQ(seen[slot], expected_seen)
+            << "pooled=" << pooled << " run " << run << " proc " << p;
+        EXPECT_EQ(after[slot], own)
+            << "pooled=" << pooled << " run " << run << " proc " << p;
+        EXPECT_EQ(seed.for_process(p), 123)
+            << "a child's private write reached the driver";
+      }
+    }
+    EXPECT_EQ(f.lifetime_stats().bytes_copied, 0u);
+  }
+}
+
+TEST(ForkBackend, ForceConstructionDoesNotTouchALargeArena) {
+  force::ForceConfig cfg = fork_config();
+  cfg.arena_bytes = force::test_support::kLargeArenaBytes;
+  const long long growth =
+      force::test_support::force_construction_growth(cfg);
+  if (growth < 0) GTEST_SKIP() << "no /proc/self/statm on this host";
+  EXPECT_LT(growth, force::test_support::kConstructionGrowthLimit);
 }
 
 // --- robust join: death tests ----------------------------------------------
