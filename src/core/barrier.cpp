@@ -4,38 +4,9 @@
 #include <thread>
 
 #include "core/env.hpp"
-#include "machdep/fiber.hpp"
 #include "util/check.hpp"
 
 namespace force::core {
-
-namespace {
-
-/// Spin-with-yield wait on an atomic until `pred(value)` holds. Uses the
-/// C++20 futex-style wait once polite spinning has not paid off, so the
-/// barrier stays live with more processes than CPUs. An N:M pooled member
-/// must not sleep in the kernel instead: the arrival it waits for may
-/// belong to a sibling member multiplexed onto the same worker thread, so
-/// it yields its continuation and lets the worker run the sibling.
-template <typename T, typename Pred>
-void wait_until(const std::atomic<T>& a, Pred pred) {
-  for (int probe = 0; probe < 64; ++probe) {
-    if (pred(a.load(std::memory_order_acquire))) return;
-  }
-  if (machdep::on_fiber()) {
-    while (!pred(a.load(std::memory_order_acquire))) {
-      machdep::member_yield();
-    }
-    return;
-  }
-  for (;;) {
-    T v = a.load(std::memory_order_acquire);
-    if (pred(v)) return;
-    a.wait(v, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
 
 const std::function<void()>& BarrierAlgorithm::no_section() {
   static const std::function<void()> kEmpty;
@@ -53,12 +24,12 @@ const std::function<void()>& BarrierAlgorithm::no_section() {
 PaperLockBarrier::PaperLockBarrier(ForceEnvironment& env, int width)
     : width_(width),
       mutex_(env.new_lock(machdep::LockRole::kMutex, "barrier.mutex")),
+      // The phase-1 gate starts closed.
       turnstile1_(env.new_lock(machdep::LockRole::kSemaphore,
-                               "barrier.turnstile1")),
+                               "barrier.turnstile1", /*held=*/true)),
       turnstile2_(env.new_lock(machdep::LockRole::kSemaphore,
                                "barrier.turnstile2")) {
   FORCE_CHECK(width_ > 0, "barrier width must be positive");
-  turnstile1_->acquire();  // phase-1 gate starts closed
 }
 
 void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {

@@ -27,11 +27,36 @@
 #include <vector>
 
 #include "machdep/backend.hpp"
+#include "machdep/fiber.hpp"
 #include "machdep/locks.hpp"
 
 namespace force::core {
 
 class ForceEnvironment;
+
+/// The in-process wait on an atomic until `pred(value)` holds: a short
+/// spin, then the C++20 futex-style wait, so waiters stay live with more
+/// processes than CPUs. An N:M pooled member must not sleep in the kernel
+/// instead: the store it waits for may belong to a sibling member
+/// multiplexed onto the same worker thread, so it yields its continuation
+/// and lets the worker run the sibling. Storers must notify_all().
+template <typename T, typename Pred>
+void wait_until(const std::atomic<T>& a, Pred pred) {
+  for (int probe = 0; probe < 64; ++probe) {
+    if (pred(a.load(std::memory_order_acquire))) return;
+  }
+  if (machdep::on_fiber()) {
+    while (!pred(a.load(std::memory_order_acquire))) {
+      machdep::member_yield();
+    }
+    return;
+  }
+  for (;;) {
+    const T v = a.load(std::memory_order_acquire);
+    if (pred(v)) return;
+    a.wait(v, std::memory_order_relaxed);
+  }
+}
 
 /// A reusable barrier over a fixed set of `width` processes (0-based ids).
 class BarrierAlgorithm {
@@ -148,8 +173,8 @@ class DisseminationBarrier final : public BarrierAlgorithm {
 /// Adapter over the selected backend's keyed BarrierEngine - the barrier
 /// that spans separate address spaces (futex words in the MAP_SHARED arena
 /// under os-fork; coordinator RPCs under cluster). Core never names the
-/// substrate: ForceEnvironment::make_process_shared_barrier asks the
-/// backend for an engine and wraps it here.
+/// substrate: ForceEnvironment::make_site_barrier asks the backend for an
+/// engine and wraps it here.
 class EngineBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;

@@ -67,42 +67,39 @@ SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
     : env_(env), width_(width) {
   FORCE_CHECK(width_ > 0, "selfsched loop width must be positive");
-  // The barwin/barwot labels are per-construct-kind, not per-site, so they
-  // cannot key cross-process state. Separate-process backends key the
-  // whole episode by the construct's site key instead.
-  site_ = env.backend().make_doall_site(key.empty() ? "anon" : key, width_);
+  const std::string site = key.empty() ? env.anonymous_site_key() : key;
+  site_ = env.backend().make_doall_site(site, width_);
   if (site_ != nullptr) return;
-  barwin_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwin");
-  barwot_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwot");
-  dispatch_ = env.new_dispatch_counter();
-  barwot_->acquire();  // exits blocked until all have entered the episode
+  shared_ = &env.site_state<Shared>("doall/" + site);
+  barwin_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwin@" + site);
+  // Exits blocked until all have entered the episode.
+  barwot_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwot@" + site,
+                         /*held=*/true);
+  dispatch_ =
+      env.new_dispatch_counter(&shared_->dispatch, "doall.dispatch@" + site);
 }
 
 bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
-                                  std::int64_t incr) {
+                                  std::int64_t incr, std::int64_t& trips) {
   if (site_ != nullptr) {
-    // Champion episode barrier, across address spaces: the last arriver
+    // Champion episode barrier on the coordinator: the last arriver
     // publishes the bounds and re-arms the dispatch while every other
     // process is provably parked on the episode entry, then releases
     // them. No process can be inside the claim loop of the *previous*
     // episode at that moment, because it would not have arrived here yet -
-    // so there is still no exit barrier, exactly as in the thread
-    // expansion.
+    // so there is still no exit barrier, exactly as in the gate protocol.
     const machdep::DoallBounds b =
         site_->enter(start, last, incr, loop_trip_count(start, last, incr));
-    start_ = b.start;
-    last_ = b.last;
-    incr_ = b.incr;
-    trips_ = b.trips;
-    return last == last_ && incr == incr_;
+    trips = b.trips;
+    return last == b.last && incr == b.incr;
   }
+  Shared& sh = *shared_;
   bool ok = true;
   barwin_->acquire();
-  if (zznbar_ == 0) {
-    start_ = start;
-    last_ = last;
-    incr_ = incr;
-    trips_ = loop_trip_count(start, last, incr);
+  if (sh.zznbar == 0) {
+    sh.last = last;
+    sh.incr = incr;
+    sh.trips = loop_trip_count(start, last, incr);
     // Gate-guarded single-writer reset; the BARWIN release publishes it.
     dispatch_->reset(0);
   } else {
@@ -111,10 +108,11 @@ bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
     // a real Force; here it is detected - but the arrival must still be
     // counted and the gates released, or the compliant processes would be
     // wedged in the exit protocol forever.
-    ok = (last == last_ && incr == incr_);
+    ok = (last == sh.last && incr == sh.incr);
   }
-  ++zznbar_;
-  if (zznbar_ == width_) {
+  trips = sh.trips;
+  ++sh.zznbar;
+  if (sh.zznbar == width_) {
     barwot_->release();
   } else {
     barwin_->release();
@@ -123,24 +121,25 @@ bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
 }
 
 void SelfschedLoop::leave_episode() {
-  // Re-entry fenced by the engine's entry barrier on keyed backends.
+  // Re-entry is fenced by the engine's entry barrier on the cluster.
   if (site_ != nullptr) return;
   barwot_->acquire();
-  --zznbar_;
-  if (zznbar_ == 0) {
+  --shared_->zznbar;
+  if (shared_->zznbar == 0) {
     barwin_->release();
   } else {
     barwot_->release();
   }
 }
 
-void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
-                        std::int64_t incr,
-                        const std::function<void(std::int64_t)>& body,
-                        std::int64_t chunk) {
+template <typename Claim>
+void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
+                                std::int64_t incr,
+                                const std::function<void(std::int64_t)>& body,
+                                const Claim& claim) {
   FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  FORCE_CHECK(chunk >= 1, "chunk must be >= 1");
-  const bool spmd_ok = enter_episode(start, last, incr);
+  std::int64_t trips = 0;
+  const bool spmd_ok = enter_episode(start, last, incr, trips);
   // Departure must be reported even if the body throws, or the loop could
   // never be re-entered by the remaining processes.
   struct Departure {
@@ -164,15 +163,12 @@ void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
     }
   } tally{env_.stats()};
   // Bounds are episode-stable (SPMD-checked above), so the hot loop works
-  // from the call arguments; trips_ was fixed by the first arriver.
-  const std::int64_t trips = trips_;
+  // from the call arguments; trips was fixed by the first arriver.
   Sentry* sentry = env_.sentry();
   for (;;) {
     // The lock-free claim has no lock hook, so the fuzzer perturbs here.
     if (sentry != nullptr) sentry->fuzz();
-    const machdep::DispatchClaim c = site_ != nullptr
-                                         ? site_->claim(chunk, trips)
-                                         : dispatch_->claim(chunk, trips);
+    const machdep::DispatchClaim c = claim(trips);
     ++tally.dispatches;
     if (tracer) {
       tracer->instant(me0, util::TraceKind::kLoopDispatch,
@@ -190,54 +186,28 @@ void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
   }
 }
 
+void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
+                        std::int64_t incr,
+                        const std::function<void(std::int64_t)>& body,
+                        std::int64_t chunk) {
+  FORCE_CHECK(chunk >= 1, "chunk must be >= 1");
+  run_episode(me0, start, last, incr, body, [this, chunk](std::int64_t trips) {
+    return site_ != nullptr ? site_->claim(chunk, trips)
+                            : dispatch_->claim(chunk, trips);
+  });
+}
+
 void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
                                std::int64_t incr,
                                const std::function<void(std::int64_t)>& body) {
-  FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  const bool spmd_ok = enter_episode(start, last, incr);
-  struct Departure {
-    SelfschedLoop* loop;
-    ~Departure() { loop->leave_episode(); }
-  } departure{this};
-  FORCE_CHECK(spmd_ok, "selfsched DO reached with divergent loop bounds");
-  util::Tracer* tracer = env_.tracer();
-  const std::int64_t trace_begin = tracer ? util::now_ns() : 0;
-  // Per-process tally, flushed once per episode (see run()).
-  struct EpisodeStats {
-    RuntimeStats& stats;
-    std::uint64_t dispatches = 0;
-    std::uint64_t iterations = 0;
-    ~EpisodeStats() {
-      stats.doall_dispatches.fetch_add(dispatches, std::memory_order_relaxed);
-      stats.doall_iterations.fetch_add(iterations, std::memory_order_relaxed);
-    }
-  } tally{env_.stats()};
-  const std::int64_t trips = trips_;
-  Sentry* sentry = env_.sentry();
-  for (;;) {
-    if (sentry != nullptr) sentry->fuzz();
-    // Guided selfscheduling: claim a fraction of the remaining trips so
-    // early claims are big (low dispatch overhead) and late claims small
-    // (good load balance at the tail). On the lock-free engine this is a
-    // CAS loop on the remaining-trips value.
-    const machdep::DispatchClaim c =
-        site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
-                         : dispatch_->claim_fraction(trips, 2 * width_);
-    ++tally.dispatches;
-    if (tracer) {
-      tracer->instant(me0, util::TraceKind::kLoopDispatch,
-                      start + c.begin * incr);
-    }
-    if (c.count == 0) break;
-    for (std::int64_t t = c.begin; t < c.begin + c.count; ++t) {
-      body(start + t * incr);
-      ++tally.iterations;
-    }
-  }
-  if (tracer) {
-    tracer->record(me0, util::TraceKind::kLoopRun, trace_begin,
-                   util::now_ns());
-  }
+  // Guided selfscheduling: claim a fraction of the remaining trips so
+  // early claims are big (low dispatch overhead) and late claims small
+  // (good load balance at the tail). On the lock-free engine this is a
+  // CAS loop on the remaining-trips value.
+  run_episode(me0, start, last, incr, body, [this](std::int64_t trips) {
+    return site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
+                            : dispatch_->claim_fraction(trips, 2 * width_);
+  });
 }
 
 Selfsched2Loop::Selfsched2Loop(ForceEnvironment& env, int width,

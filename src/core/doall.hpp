@@ -17,12 +17,19 @@
 //   on machines with hardware atomic RMW a claim is one fetch-add (guided:
 //   one CAS) with no lock at all; on lock-only machines it is the paper's
 //   lock-protected expansion, byte-for-byte in lock traffic - one generic
-//   lock pass per claim, on a lock from MachineModel::new_lock().
+//   lock pass per claim.
+//
+//   The gates, the counter and the index are built "out of the lower level
+//   only": locks from env.new_lock and shared variables from site state.
+//   So the same code runs over machine locks under threads and over
+//   process-shared locks and arena words under os-fork; only the cluster
+//   backend, which has no shared memory, runs the loop as an engine.
 //
 // Iteration ranges follow Fortran DO semantics: start/last/incr with
 // positive or negative increments; an empty range executes nothing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,15 +66,15 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
                   std::int64_t j_last, std::int64_t j_incr,
                   const std::function<void(std::int64_t, std::int64_t)>& body);
 
-/// Shared state of one selfscheduled loop site: the paper's expansion,
-/// object-ified. Reusable (protected against re-entry) and usable from
-/// any SPMD team of `width` processes.
+/// One selfscheduled loop site: the paper's expansion, object-ified.
+/// Reusable (protected against re-entry) and usable from any SPMD team of
+/// `width` processes.
 class SelfschedLoop {
  public:
-  /// `key` is the construct's stable site key. Separate-process backends
-  /// key the loop's episode state (entry barrier + dispatch counter +
-  /// bounds) by it so every real process reaches the same engine state;
-  /// the thread backend ignores it.
+  /// `key` is the construct's stable site key: the loop's shared state
+  /// and gate locks are keyed by it, so every process that reaches the
+  /// site meets the same state on every backend. An empty key makes an
+  /// anonymous loop whose state no other loop shares.
   SelfschedLoop(ForceEnvironment& env, int width, const std::string& key = "");
 
   /// Executes the loop body for dynamically claimed indices. `chunk` > 1
@@ -83,35 +90,48 @@ class SelfschedLoop {
   [[nodiscard]] int width() const { return width_; }
 
  private:
-  /// Returns false on an SPMD violation (divergent bounds); the arrival is
-  /// still counted so the other processes are not wedged - the caller
-  /// completes the departure protocol and then reports the error.
+  /// The paper's shared environment variables for this loop site, in
+  /// site state (all-zero is a fresh site). The dispatch word gets its own
+  /// cache line so hot claims never false-share with the gate fields.
+  struct Shared {
+    /// The asynchronous loop index, counted in *trips claimed* (0-based)
+    /// rather than raw index values so claims clamp at the trip count and
+    /// can never overflow, and so chunked/guided/2D all share one engine.
+    alignas(64) std::atomic<std::int64_t> dispatch;
+    alignas(64) int zznbar;  // arrival counter, guarded by the gates
+    std::int64_t trips;      // trip count of the current episode
+    std::int64_t last;       // bounds of the current episode
+    std::int64_t incr;
+  };
+
+  /// Returns the episode's trip count in `trips`, and false on an SPMD
+  /// violation (divergent bounds); the arrival is still counted so the
+  /// other processes are not wedged - the caller completes the departure
+  /// protocol and then reports the error.
   [[nodiscard]] bool enter_episode(std::int64_t start, std::int64_t last,
-                                   std::int64_t incr);
+                                   std::int64_t incr, std::int64_t& trips);
   void leave_episode();
+  /// The claim loop shared by run() and run_guided(); `claim(trips)`
+  /// draws the next DispatchClaim.
+  template <typename Claim>
+  void run_episode(int me0, std::int64_t start, std::int64_t last,
+                   std::int64_t incr,
+                   const std::function<void(std::int64_t)>& body,
+                   const Claim& claim);
 
   ForceEnvironment& env_;
   int width_;
 
-  // Separate-process backends: the whole episode protocol folds into one
-  // backend engine (site_ non-null) - an entry barrier whose champion
-  // publishes the bounds and re-arms the dispatch, then a claim loop;
-  // faithful to the paper there is still no exit barrier. Null on the
-  // thread backend, which keeps the monomorphic expansion below.
+  // Cluster only: the whole episode protocol as a coordinator engine (an
+  // entry barrier whose champion publishes the bounds and re-arms the
+  // dispatch, then a claim loop); faithful to the paper there is still no
+  // exit barrier. Null elsewhere, where the members below are used.
   std::unique_ptr<machdep::DoallSite> site_;
 
-  // The paper's shared environment variables for this loop site:
-  std::unique_ptr<machdep::BasicLock> barwin_;   // entry gate
-  std::unique_ptr<machdep::BasicLock> barwot_;   // exit gate (starts locked)
-  /// The asynchronous loop index, counted in *trips claimed* (0-based)
-  /// rather than raw index values so claims clamp at the trip count and
-  /// can never overflow, and so chunked/guided/2D all share one engine.
-  std::unique_ptr<machdep::DispatchCounter> dispatch_;
-  int zznbar_ = 0;                // arrival counter, guarded by gates
-  std::int64_t trips_ = 0;        // trip count of the current episode
-  std::int64_t start_ = 0;        // bounds of the current episode
-  std::int64_t last_ = 0;
-  std::int64_t incr_ = 1;
+  Shared* shared_ = nullptr;
+  std::unique_ptr<machdep::BasicLock> barwin_;  // entry gate
+  std::unique_ptr<machdep::BasicLock> barwot_;  // exit gate (starts held)
+  std::unique_ptr<machdep::DispatchCounter> dispatch_;  // shared_->dispatch
 };
 
 /// Selfscheduled doubly nested DO: one shared dispatch over the flattened

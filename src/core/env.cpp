@@ -151,18 +151,10 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
   init.member_stack_bytes = config_.private_stack_bytes;
   init.cluster_transport = config_.cluster_transport;
   backend_ = machdep::make_execution_backend(model_, init);
-  // Resident pooled children observe force-entry generations through the
-  // backend's shared word (os-fork); their own copies of this object
-  // freeze at fork. Null means the per-process counter below suffices.
-  run_gen_shm_ = backend_->shared_run_generation_word();
+  run_generation_ =
+      &site_state<std::atomic<std::uint32_t>>("force/run_generation");
   // Last: the barrier's locks may be ObservedLocks referencing sentry_.
-  std::unique_ptr<machdep::BarrierEngine> global_engine =
-      backend_->make_team_barrier(config_.nproc, "%force/global");
-  global_barrier_ =
-      global_engine != nullptr
-          ? std::make_unique<EngineBarrier>(config_.nproc,
-                                            std::move(global_engine))
-          : make_barrier(config_.nproc);
+  global_barrier_ = make_site_barrier(config_.nproc, "force/global");
 }
 
 // Out of line so BarrierAlgorithm/Sentry can stay incomplete in the header.
@@ -180,8 +172,24 @@ ForceEnvironment::~ForceEnvironment() {
 }
 
 std::unique_ptr<machdep::BasicLock> ForceEnvironment::new_lock(
-    machdep::LockRole role, std::string label) {
-  return backend_->new_lock(role, label, sentry_.get());
+    machdep::LockRole role, std::string label, bool held) {
+  return backend_->new_lock(role, label, sentry_.get(), held);
+}
+
+std::unique_ptr<machdep::DispatchCounter>
+ForceEnvironment::new_dispatch_counter(std::atomic<std::int64_t>* word,
+                                       const std::string& label) {
+  std::unique_ptr<machdep::BasicLock> lock;
+  if (!lock_free_dispatch()) {
+    lock = backend_->new_lock(machdep::LockRole::kMutex, label, nullptr,
+                              false);
+  }
+  return std::make_unique<machdep::DispatchCounter>(std::move(lock), word);
+}
+
+std::string ForceEnvironment::anonymous_site_key() {
+  return "anon#" + std::to_string(anonymous_sites_.fetch_add(
+                       1, std::memory_order_relaxed));
 }
 
 machdep::TeamPool& ForceEnvironment::team_pool() {
@@ -197,18 +205,11 @@ void ForceEnvironment::reset_shared_sync_after_death() {
 }
 
 std::uint32_t ForceEnvironment::run_generation() const {
-  if (run_gen_shm_ != nullptr) {
-    return run_gen_shm_->load(std::memory_order_acquire);
-  }
-  return run_generation_.load(std::memory_order_acquire);
+  return run_generation_->load(std::memory_order_acquire);
 }
 
 void ForceEnvironment::begin_team_entry() {
-  if (run_gen_shm_ != nullptr) {
-    run_gen_shm_->fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
-  run_generation_.fetch_add(1, std::memory_order_acq_rel);
+  run_generation_->fetch_add(1, std::memory_order_acq_rel);
 }
 
 machdep::ProcessTeam ForceEnvironment::process_team() const {
@@ -230,13 +231,11 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
   return make_barrier_algorithm(algorithm, *this, width);
 }
 
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_process_shared_barrier(
-    int width, const std::string& shm_key) {
+std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_site_barrier(
+    int width, const std::string& key) {
   std::unique_ptr<machdep::BarrierEngine> engine =
-      backend_->make_team_barrier(width, shm_key);
-  FORCE_CHECK(engine != nullptr,
-              "process-shared barrier needs a separate-process backend "
-              "(ForceConfig::process_model = \"os-fork\" or \"cluster\")");
+      backend_->make_team_barrier(width, key);
+  if (engine == nullptr) return make_barrier(width);
   return std::make_unique<EngineBarrier>(width, std::move(engine));
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "machdep/arena.hpp"
 #include "machdep/backend.hpp"
@@ -151,10 +152,14 @@ class ForceEnvironment {
   /// (kMutex: acquire/release by the same process, participates in the
   /// lock-order graph and locksets; kSemaphore: cross-process release is
   /// part of the protocol, e.g. async full/empty pairs and barrier
-  /// turnstiles). `label` gives reports a human-readable name. When the
-  /// sentry is off this is exactly new_lock().
+  /// turnstiles). `label` gives reports a human-readable name and, on
+  /// backends that key locks across address spaces, must be unique to the
+  /// construct. `held` creates the lock already held (a gate that starts
+  /// closed). Under the thread backend with the sentry off this is exactly
+  /// new_lock(), plus the acquire when `held`.
   std::unique_ptr<machdep::BasicLock> new_lock(machdep::LockRole role,
-                                               std::string label);
+                                               std::string label,
+                                               bool held = false);
 
   /// True when dispatch-heavy constructs (selfsched DOALL, Askfor) may use
   /// the lock-free fast path on this run: the machine declares
@@ -164,10 +169,28 @@ class ForceEnvironment {
            config_.dispatch != "locked";
   }
 
-  /// Dispatch-counter factory honouring lock_free_dispatch().
-  std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter() {
-    return machine_->new_dispatch_counter(!lock_free_dispatch());
+  /// Dispatch-counter factory honouring lock_free_dispatch(). `word` is
+  /// the shared counter (null: the counter owns one); the lock engine's
+  /// lock comes from the backend under `label`, unobserved - a machine
+  /// lock on threads, a process-shared lock on os-fork.
+  std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter(
+      std::atomic<std::int64_t>* word = nullptr,
+      const std::string& label = "dispatch");
+
+  /// Construct state of type S at `key`, shared by every member of the
+  /// team and zero-filled on first use (ExecutionBackend::site_state). S
+  /// must be valid when all its bytes are zero.
+  template <typename S>
+  [[nodiscard]] S& site_state(const std::string& key) {
+    static_assert(std::is_trivially_destructible_v<S>,
+                  "site state is reclaimed as raw bytes");
+    return *static_cast<S*>(backend_->site_state(key, sizeof(S), alignof(S)));
   }
+
+  /// A key for a construct built without a site (tests, benches, Pcase's
+  /// internal loop): distinct on every call, so anonymous constructs never
+  /// share site state.
+  [[nodiscard]] std::string anonymous_site_key();
 
   /// The process substrate this environment selected at construction
   /// (ForceConfig::process_model parsed into the enum).
@@ -213,22 +236,24 @@ class ForceEnvironment {
   /// os-fork backend only.
   [[nodiscard]] machdep::ForkTeamPool& fork_pool(int nproc);
 
-  /// Scrubs every process-shared synchronization blob in the arena after
-  /// a pooled team died mid-protocol: lock words freed, barrier arrival
-  /// counts zeroed, askfor rings and selfsched episodes re-initialized,
-  /// busy async cells emptied. A poisoned team leaves this state wherever
-  /// the victims stood (a dead champion never publishes its episode), so
-  /// the fresh team the next run forks must not inherit it. User data -
-  /// shared variables, full async payloads - is untouched. os-fork only;
-  /// called with no team alive (between pool retirement and respawn).
+  /// Scrubs the process-shared synchronization state in the arena after
+  /// a pooled team died mid-protocol, by name prefix and without knowing
+  /// any construct's layout: site state (DOALL gates, reductions, the run
+  /// generation) zeroed, lock words back to their declared initial state,
+  /// barrier arrival counts zeroed - plus the two remaining engines: askfor
+  /// rings re-initialized and busy async cells emptied. A poisoned team
+  /// leaves this state wherever the victims stood, so the fresh team the
+  /// next run forks must not inherit it. User data - shared variables,
+  /// full async payloads - is untouched. os-fork only; called with no team
+  /// alive (between pool retirement and respawn).
   void reset_shared_sync_after_death();
 
   /// Force-entry generation: bumped once at the top of every Force::run,
   /// before the team is (re-)armed. Long-lived construct sites compare it
   /// to their own stamp to re-arm per-entry episode state (e.g. the
   /// Askfor drained/probend latch) when a pooled team re-enters the same
-  /// force. Under os-fork the counter lives in the shared arena so
-  /// resident children observe the bump.
+  /// force. The counter is site state, so under os-fork resident children
+  /// observe the bump.
   [[nodiscard]] std::uint32_t run_generation() const;
   void begin_team_entry();
 
@@ -238,18 +263,18 @@ class ForceEnvironment {
 
   /// Builds a barrier instance for `width` processes with the configured
   /// (or an explicitly named) algorithm; used by sited barriers and by
-  /// Resolve components. Under the fork backend the default-algorithm
-  /// overload is rejected (callers must key a process-shared barrier).
+  /// Resolve components. Separate-process backends reject it (callers
+  /// must key a site barrier).
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width);
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
 
-  /// Arena-resident barrier for `width` processes at a deterministic key;
-  /// the only barrier that spans os-fork processes. The key makes lazy
-  /// construction race-free: every process that resolves the same key
-  /// meets at the same two futex words.
-  std::unique_ptr<BarrierAlgorithm> make_process_shared_barrier(
-      int width, const std::string& shm_key);
+  /// Barrier for `width` processes at construct key `key`: the backend's
+  /// keyed engine where it has one (the only barriers that span os-fork or
+  /// cluster processes; every process that resolves the same key meets at
+  /// the same state), otherwise the configured algorithm.
+  std::unique_ptr<BarrierAlgorithm> make_site_barrier(int width,
+                                                      const std::string& key);
 
   /// Per-process deterministic RNG substream.
   [[nodiscard]] util::Xoshiro256 rng_for(int proc0) const;
@@ -280,10 +305,10 @@ class ForceEnvironment {
   /// they park.
   std::unique_ptr<machdep::ExecutionBackend> backend_;
   std::unique_ptr<BarrierAlgorithm> global_barrier_;
-  std::atomic<std::uint32_t> run_generation_{0};
-  /// Arena-resident generation word under os-fork (children's copies of
-  /// this object are COW-frozen at fork time; the arena word is live).
-  std::atomic<std::uint32_t>* run_gen_shm_ = nullptr;
+  /// Force-entry generation, in site state: under os-fork the children's
+  /// copies of this object are COW-frozen at fork, the word stays live.
+  std::atomic<std::uint32_t>* run_generation_ = nullptr;
+  std::atomic<std::uint64_t> anonymous_sites_{0};
 };
 
 }  // namespace force::core

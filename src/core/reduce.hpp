@@ -14,6 +14,13 @@
 // Both return the reduced value to every process (allreduce semantics),
 // and both are reusable across episodes. The ablation bench (E2b in
 // EXPERIMENTS.md) contrasts their traffic.
+//
+// The accumulator lives in site state and the lock and barrier come from
+// the environment, so kCritical runs unchanged under threads and os-fork.
+// kTournament's slots wait with in-process atomic waits, so it runs only
+// where thread barrier algorithms do; elsewhere a request for it runs the
+// critical idiom. Only the cluster backend, which has no shared memory,
+// reduces through a coordinator engine.
 #pragma once
 
 #include <atomic>
@@ -28,7 +35,6 @@
 #include "core/critical.hpp"
 #include "core/env.hpp"
 #include "machdep/backend.hpp"
-#include "machdep/fiber.hpp"
 
 namespace force::core {
 
@@ -43,31 +49,35 @@ enum class ReduceStrategy {
 template <typename T>
 class Reduction {
  public:
-  /// `key` is the construct's stable site key; separate-process backends
-  /// key the site's engine state (accumulator, arrival count, result) by
-  /// it (thread backends keep them as members, and only use the key to
-  /// label the critical section in sentry reports).
-  Reduction(ForceEnvironment& env, int width,
-            const std::string& key = "reduce")
+  /// `key` is the construct's stable site key: the accumulator, its lock
+  /// and its barrier are keyed by it, so every process that reaches the
+  /// site meets the same state on every backend. An empty key makes an
+  /// anonymous site.
+  Reduction(ForceEnvironment& env, int width, const std::string& key = "")
       : width_(width) {
-    // A backend reduction engine runs the faithful critical idiom across
-    // its address spaces: accumulate under a keyed lock, champion snapshot
-    // at the keyed barrier. The payload crosses by memcpy, so backends
-    // that hand out engines reject non-trivially-copyable types.
+    const std::string site = key.empty() ? env.anonymous_site_key() : key;
     if constexpr (std::is_trivially_copyable_v<T>) {
-      site_ = env.backend().make_reduction_site(key, width_, sizeof(T),
-                                                alignof(T));
+      // The cluster engine runs the faithful critical idiom on the
+      // coordinator; the payload crosses by memcpy.
+      engine_ = env.backend().make_reduction_site(site, width_, sizeof(T),
+                                                  alignof(T));
+      if (engine_ != nullptr) return;
+      state_ = &env.site_state<State>("reduce/" + site);
     } else {
-      // Null engine + supported capability = the thread shapes below.
+      // Thread-only (the capability table rejects it elsewhere), so the
+      // state may stay process-owned.
       env.require(machdep::Capability::kNonTrivialPayloads,
                   "Reduction payload", key);
+      owned_ = std::make_unique<State>();
+      state_ = owned_.get();
     }
-    if (site_ != nullptr) return;
-    critical_ = std::make_unique<CriticalSection>(env, "reduce@" + key);
-    barrier_ = env.make_barrier(width);
-    // vector(count) rather than resize(): Slot holds an atomic, so it is
-    // not MoveInsertable, which resize() formally requires.
-    slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    critical_ = std::make_unique<CriticalSection>(env, "reduce@" + site);
+    barrier_ = env.make_site_barrier(width, "reduce@" + site);
+    if (env.supports(machdep::Capability::kThreadBarrierAlgorithms)) {
+      // vector(count) rather than resize(): Slot holds an atomic, so it is
+      // not MoveInsertable, which resize() formally requires.
+      slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    }
   }
 
   /// Contributes `local` and returns the combined value of all width
@@ -77,10 +87,7 @@ class Reduction {
   T allreduce(int me0, const T& local, const std::function<T(T, T)>& combine,
               ReduceStrategy strategy, T* shared_target = nullptr) {
     FORCE_CHECK(me0 >= 0 && me0 < width_, "bad reduce process id");
-    if (site_ != nullptr) {
-      // The tournament's per-process slots cannot cross address spaces;
-      // the engine runs the faithful critical idiom regardless of the
-      // requested strategy.
+    if (engine_ != nullptr) {
       const machdep::ReductionSite::Combine fold =
           [&combine](void* acc, const void* contribution) {
             T* a = static_cast<T*>(acc);
@@ -88,37 +95,46 @@ class Reduction {
           };
       // Raw storage: the engine's result memcpy fully initializes it.
       alignas(T) unsigned char raw[sizeof(T)];
-      site_->allreduce(me0, &local, raw, shared_target, fold);
+      engine_->allreduce(me0, &local, raw, shared_target, fold);
       return *reinterpret_cast<T*>(raw);
     }
-    if (strategy == ReduceStrategy::kCritical) {
-      return allreduce_critical(me0, local, combine, shared_target);
+    if (strategy == ReduceStrategy::kTournament && !slots_.empty()) {
+      return allreduce_tournament(me0, local, combine, shared_target);
     }
-    return allreduce_tournament(me0, local, combine, shared_target);
+    return allreduce_critical(me0, local, combine, shared_target);
   }
 
  private:
+  /// The site's shared variables; all-zero is a fresh site (the
+  /// accumulator and result are written before they are read).
+  struct State {
+    T accumulator{};
+    T result{};
+    int arrived = 0;  // guarded by critical_
+  };
+
   T allreduce_critical(int me0, const T& local,
                        const std::function<T(T, T)>& combine,
                        T* shared_target) {
+    State& st = *state_;
     critical_->enter([&] {
-      if (arrived_ == 0) {
-        accumulator_ = local;
+      if (st.arrived == 0) {
+        st.accumulator = local;
       } else {
-        accumulator_ = combine(accumulator_, local);
+        st.accumulator = combine(st.accumulator, local);
       }
-      ++arrived_;
+      ++st.arrived;
     });
     // The barrier section snapshots the total and re-arms the episode
     // while every process is parked - no second barrier needed. A shared
     // target is written here, by the single section executor, so the
     // store is race-free and visible to everyone leaving the barrier.
-    barrier_->arrive(me0, [this, shared_target] {
-      result_ = accumulator_;
-      arrived_ = 0;
-      if (shared_target != nullptr) *shared_target = result_;
+    barrier_->arrive(me0, [&st, shared_target] {
+      st.result = st.accumulator;
+      st.arrived = 0;
+      if (shared_target != nullptr) *shared_target = st.result;
     });
-    return result_;
+    return st.result;
   }
 
   T allreduce_tournament(int me0, const T& local,
@@ -127,6 +143,7 @@ class Reduction {
     Slot& mine = slots_[static_cast<std::size_t>(me0)];
     mine.value = local;
     const std::uint64_t ep = ++mine.episode;
+    const auto reached = [ep](std::uint64_t v) { return v >= ep; };
     // Combine along the same pairwise schedule as TreeBarrier: rank p
     // collects rank p + 2^r while p is a multiple of 2^(r+1).
     for (int r = 0; (1 << r) < width_; ++r) {
@@ -137,7 +154,7 @@ class Reduction {
           Slot& theirs = slots_[static_cast<std::size_t>(child)];
           // Wait for the child to have *fully combined its subtree* for
           // this episode: it bumps `combined` after losing round r.
-          wait_for(theirs.combined, ep);
+          wait_until(theirs.combined, reached);
           mine.value = combine(mine.value, theirs.value);
         }
       } else {
@@ -148,38 +165,18 @@ class Reduction {
     }
     if (me0 == 0) {
       mine.combined.store(ep, std::memory_order_release);
-      result_ = mine.value;
+      state_->result = mine.value;
       // Single-writer point: the champion holds the only complete value.
-      if (shared_target != nullptr) *shared_target = result_;
+      if (shared_target != nullptr) *shared_target = state_->result;
       broadcast_.store(ep, std::memory_order_release);
       broadcast_.notify_all();
     } else {
-      wait_for(broadcast_, ep);
+      wait_until(broadcast_, reached);
     }
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
     barrier_->arrive(me0);
-    return result_;
-  }
-
-  static void wait_for(const std::atomic<std::uint64_t>& flag,
-                       std::uint64_t ep) {
-    for (int probe = 0; probe < 64; ++probe) {
-      if (flag.load(std::memory_order_acquire) >= ep) return;
-    }
-    if (machdep::on_fiber()) {
-      // N:M pooled member: the stamp may come from a sibling continuation
-      // on this same worker thread - yield to it instead of sleeping.
-      while (flag.load(std::memory_order_acquire) < ep) {
-        machdep::member_yield();
-      }
-      return;
-    }
-    for (;;) {
-      const std::uint64_t v = flag.load(std::memory_order_acquire);
-      if (v >= ep) return;
-      flag.wait(v, std::memory_order_relaxed);
-    }
+    return state_->result;
   }
 
   struct alignas(64) Slot {
@@ -189,16 +186,15 @@ class Reduction {
   };
 
   int width_;
-  std::unique_ptr<CriticalSection> critical_;  // thread backend only
-  std::unique_ptr<BarrierAlgorithm> barrier_;  // thread backend only
-  /// Backend reduction engine; null on the thread backend, which keeps
-  /// the two strategy shapes below.
-  std::unique_ptr<machdep::ReductionSite> site_;
+  /// Cluster only: the coordinator's reduction engine. Null elsewhere,
+  /// where the members below are used.
+  std::unique_ptr<machdep::ReductionSite> engine_;
+  State* state_ = nullptr;  // site state, or owned_ for non-trivial T
+  std::unique_ptr<State> owned_;
+  std::unique_ptr<CriticalSection> critical_;
+  std::unique_ptr<BarrierAlgorithm> barrier_;
+  /// kTournament's per-process slots; empty where it cannot run.
   std::vector<Slot> slots_;
-  // kCritical state (guarded by critical_ / published by the barrier):
-  T accumulator_{};
-  int arrived_ = 0;
-  T result_{};
   std::atomic<std::uint64_t> broadcast_{0};
 };
 

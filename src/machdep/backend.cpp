@@ -1,8 +1,10 @@
 // ExecutionBackend implementations: the one place that knows how each
-// process substrate realizes the Force's constructs. ThreadBackend keeps the
-// thread axis monomorphic by returning null engines; ShmBackend and
-// ClusterBackend port the construct protocols (arena keys, site labels,
-// champion sections) byte-for-byte from the former in-construct branches.
+// process substrate realizes the Force's constructs. ThreadBackend and
+// ShmBackend hand out locks and site storage, over which the core DOALL and
+// reduction run unchanged; ShmBackend adds engines for the constructs whose
+// os-fork protocols still differ (askfor rings, async cells, keyed
+// barriers), and ClusterBackend engines serve every construct through the
+// coordinator.
 #include "machdep/backend.hpp"
 
 #include <cstring>
@@ -104,7 +106,7 @@ const std::vector<CapabilityRow>& capability_table() {
       {Capability::kThreadBarrierAlgorithms, "thread-barriers",
        "thread barrier algorithms", true, false, false,
        "thread barrier algorithms cannot span separate address spaces; use "
-       "make_process_shared_barrier with a keyed barrier"},
+       "make_site_barrier with a keyed barrier"},
   };
   return kTable;
 }
@@ -201,8 +203,23 @@ std::unique_ptr<BarrierEngine> ExecutionBackend::make_team_barrier(
   return nullptr;
 }
 
-std::atomic<std::uint32_t>* ExecutionBackend::shared_run_generation_word() {
-  return nullptr;
+void* ExecutionBackend::site_state(const std::string& key, std::size_t bytes,
+                                   std::size_t align) {
+  std::lock_guard<std::mutex> g(site_mutex_);
+  auto it = sites_.find(key);
+  if (it == sites_.end()) {
+    std::unique_ptr<void, AlignedDelete> data(
+        ::operator new(bytes, std::align_val_t{align}), AlignedDelete{align});
+    std::memset(data.get(), 0, bytes);
+    it = sites_.emplace(key, SiteBlob{bytes, std::move(data)}).first;
+  }
+  FORCE_CHECK(it->second.bytes == bytes,
+              "site state '" + key + "' requested with a different size");
+  return it->second.data.get();
+}
+
+void ExecutionBackend::AlignedDelete::operator()(void* p) const {
+  ::operator delete(p, std::align_val_t{align});
 }
 
 TeamPool& ExecutionBackend::team_pool() {
@@ -226,7 +243,7 @@ namespace {
 class ShmBarrierEngine final : public BarrierEngine {
  public:
   ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<shm::ShmBarrierState>(key)),
+      : state_(&arena->get_or_create<shm::ShmBarrierState>("%barrier/" + key)),
         label_("barrier '" + key + "'"),
         width_(static_cast<std::uint32_t>(width)) {}
 
@@ -241,51 +258,6 @@ class ShmBarrierEngine final : public BarrierEngine {
 
  private:
   shm::ShmBarrierState* state_;
-  std::string label_;
-  std::uint32_t width_;
-};
-
-class ShmDoallSite final : public DoallSite {
- public:
-  ShmDoallSite(SharedArena* arena, const std::string& site, int width)
-      : state_(&arena->get_or_create<shm::ShmSelfschedState>("%ssdo/" + site)),
-        label_("selfsched '" + site + "'"),
-        width_(static_cast<std::uint32_t>(width)) {}
-
-  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
-                    std::int64_t trips) override {
-    // The entry champion publishes the bounds and re-arms the shared
-    // dispatch counter inside the barrier section; the episode release
-    // publishes them to every process.
-    shm::shm_barrier_arrive(
-        state_->entry, width_,
-        [this, start, last, incr, trips] {
-          state_->start = start;
-          state_->last = last;
-          state_->incr = incr;
-          state_->trips = trips;
-          state_->dispatch.value.store(0, std::memory_order_relaxed);
-        },
-        label_.c_str());
-    DoallBounds b;
-    b.start = state_->start;
-    b.last = state_->last;
-    b.incr = state_->incr;
-    b.trips = state_->trips;
-    return b;
-  }
-
-  DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    return shm::shm_dispatch_claim(state_->dispatch, want, limit);
-  }
-
-  DispatchClaim claim_fraction(std::int64_t limit,
-                               std::int64_t divisor) override {
-    return shm::shm_dispatch_claim_fraction(state_->dispatch, limit, divisor);
-  }
-
- private:
-  shm::ShmSelfschedState* state_;
   std::string label_;
   std::uint32_t width_;
 };
@@ -370,72 +342,6 @@ class ShmAsyncCell final : public AsyncCell {
   shm::ShmCellState* state_;
   unsigned char* payload_;
   std::string label_;
-  std::size_t bytes_;
-};
-
-class ShmReductionSite final : public ReductionSite {
- public:
-  ShmReductionSite(SharedArena* arena, const std::string& key, int width,
-                   std::size_t payload_bytes, std::size_t payload_align)
-      : label_("reduce '" + key + "'"),
-        width_(static_cast<std::uint32_t>(width)),
-        bytes_(payload_bytes) {
-    // Blob layout mirrors the former struct { ShmReduceHeader; T acc;
-    // T result; }: header first so death recovery can scrub the protocol
-    // words by prefix without knowing T.
-    const std::size_t acc_off =
-        align_up(sizeof(shm::ShmReduceHeader), payload_align);
-    const std::size_t result_off =
-        align_up(acc_off + payload_bytes, payload_align);
-    const std::size_t align =
-        payload_align > alignof(shm::ShmReduceHeader)
-            ? payload_align
-            : alignof(shm::ShmReduceHeader);
-    void* blob = arena->allocate_once(
-        "%reduce/" + key, result_off + payload_bytes, align,
-        VarClass::kShared, [result_off, payload_bytes](void* p) {
-          new (p) shm::ShmReduceHeader();
-          std::memset(static_cast<unsigned char*>(p) +
-                          sizeof(shm::ShmReduceHeader),
-                      0,
-                      result_off + payload_bytes -
-                          sizeof(shm::ShmReduceHeader));
-        });
-    hdr_ = static_cast<shm::ShmReduceHeader*>(blob);
-    acc_ = static_cast<unsigned char*>(blob) + acc_off;
-    result_ = static_cast<unsigned char*>(blob) + result_off;
-  }
-
-  void allreduce(int /*me0*/, const void* local, void* result_out,
-                 void* shared_target, const Combine& combine) override {
-    shm::note_site(label_.c_str());
-    shm::shm_lock_acquire(hdr_->lock);
-    if (hdr_->arrived == 0) {
-      std::memcpy(acc_, local, bytes_);
-    } else {
-      combine(acc_, local);
-    }
-    ++hdr_->arrived;
-    shm::shm_lock_release(hdr_->lock);
-    shm::shm_barrier_arrive(
-        hdr_->barrier, width_,
-        [this, shared_target] {
-          std::memcpy(result_, acc_, bytes_);
-          hdr_->arrived = 0;
-          if (shared_target != nullptr) {
-            std::memcpy(shared_target, result_, bytes_);
-          }
-        },
-        label_.c_str());
-    std::memcpy(result_out, result_, bytes_);
-  }
-
- private:
-  shm::ShmReduceHeader* hdr_;
-  unsigned char* acc_;
-  unsigned char* result_;
-  std::string label_;
-  std::uint32_t width_;
   std::size_t bytes_;
 };
 
@@ -688,12 +594,15 @@ class ThreadBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole role, const std::string& label,
-      LockObserver* observer) override {
-    std::unique_ptr<BasicLock> inner = machine_->new_lock();
-    if (observer == nullptr) return inner;
-    return std::make_unique<ObservedLock>(std::move(inner), observer, role,
-                                          label);
+      LockRole role, const std::string& label, LockObserver* observer,
+      bool held) override {
+    std::unique_ptr<BasicLock> lock = machine_->new_lock();
+    if (observer != nullptr) {
+      lock = std::make_unique<ObservedLock>(std::move(lock), observer, role,
+                                            label);
+    }
+    if (held) lock->acquire();
+    return lock;
   }
 
   [[nodiscard]] ProcessTeam process_team() const override {
@@ -753,11 +662,6 @@ class ShmBackend final : public ExecutionBackend {
     return ProcessModel::kOsFork;
   }
 
-  [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width) override {
-    return std::make_unique<ShmDoallSite>(arena_, site, width);
-  }
-
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
       const std::string& key, std::uint32_t capacity,
       std::size_t task_bytes) override {
@@ -775,41 +679,37 @@ class ShmBackend final : public ExecutionBackend {
     return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
   }
 
-  [[nodiscard]] std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    return std::make_unique<ShmReductionSite>(arena_, key, width,
-                                              payload_bytes, payload_align);
-  }
-
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key) override {
     return std::make_unique<ShmBarrierEngine>(arena_, width, key);
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole /*role*/, const std::string& label,
-      LockObserver* /*observer*/) override {
+      LockRole /*role*/, const std::string& label, LockObserver* /*observer*/,
+      bool held) override {
     // One futex word in the MAP_SHARED arena, keyed by the construct
     // label. Labels are construct-unique (critical sections embed their
     // site key, named locks their name), so every process that reaches
-    // the same construct contends on the same word. The observer is
-    // ignored: the capability table forbids the sentry here.
-    auto* state =
-        &arena_->get_or_create<shm::ShmLockState>("%lock/" + label);
-    return std::make_unique<shm::ShmLock>(state, label);
+    // the same construct contends on the same word, and a lock declared
+    // held is held once, by whichever process creates it first. The
+    // observer is ignored: the capability table forbids the sentry here.
+    void* state = arena_->allocate_once(
+        "%lock/" + label, sizeof(shm::ShmLockState),
+        alignof(shm::ShmLockState), VarClass::kShared,
+        [held](void* p) { ::new (p) shm::ShmLockState(held ? 1 : 0); });
+    return std::make_unique<shm::ShmLock>(
+        static_cast<shm::ShmLockState*>(state), label);
+  }
+
+  [[nodiscard]] void* site_state(const std::string& key, std::size_t bytes,
+                                 std::size_t align) override {
+    return arena_->allocate_once(
+        "%site/" + key, bytes, align, VarClass::kShared,
+        [bytes](void* p) { std::memset(p, 0, bytes); });
   }
 
   [[nodiscard]] ProcessTeam process_team() const override {
     return ProcessTeam(ProcessModelKind::kOsFork);
-  }
-
-  [[nodiscard]] std::atomic<std::uint32_t>* shared_run_generation_word()
-      override {
-    // Resident pooled children observe force-entry generations through
-    // this arena word; their own copies of the environment freeze at fork.
-    return &arena_->get_or_create<std::atomic<std::uint32_t>>(
-        "%force/run_gen");
   }
 
   SpawnStats run_team(int nproc, PrivateSpace* space,
@@ -860,23 +760,23 @@ class ShmBackend final : public ExecutionBackend {
 
   void reset_shared_sync_after_death() override {
     arena_->for_each_allocation([](const std::string& name, void* addr,
-                                   std::size_t) {
+                                   std::size_t bytes) {
       const auto prefixed = [&name](const char* p) {
         return name.rfind(p, 0) == 0;
       };
-      if (name == "%force/global") {
-        // Arrival count of the global barrier: the victims' arrivals can
-        // never complete. The episode word stays monotonic (arrivals read
-        // it fresh), so zeroing the count alone re-arms the episode.
-        static_cast<shm::ShmBarrierState*>(addr)->count.store(
-            0, std::memory_order_release);
+      if (prefixed("%site/")) {
+        // Construct state over locks and site storage (DOALL gates'
+        // arrival count and bounds, reduction accumulators, the run
+        // generation): zero is every site's fresh state.
+        std::memset(addr, 0, bytes);
       } else if (prefixed("%lock/")) {
-        static_cast<shm::ShmLockState*>(addr)->word.store(
-            0, std::memory_order_release);
-      } else if (prefixed("%ssdo/")) {
-        // The dispatch counter is re-armed by the entry champion anyway;
-        // only the entry barrier carries dead arrivals.
-        static_cast<shm::ShmSelfschedState*>(addr)->entry.count.store(
+        auto* l = static_cast<shm::ShmLockState*>(addr);
+        l->word.store(l->initial, std::memory_order_release);
+      } else if (prefixed("%barrier/")) {
+        // The victims' arrivals can never complete. The episode word stays
+        // monotonic (arrivals read it fresh), so zeroing the count alone
+        // re-arms the episode.
+        static_cast<shm::ShmBarrierState*>(addr)->count.store(
             0, std::memory_order_release);
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
@@ -895,11 +795,6 @@ class ShmBackend final : public ExecutionBackend {
         std::uint32_t busy = 2;
         c->state.compare_exchange_strong(busy, 0,
                                          std::memory_order_acq_rel);
-      } else if (prefixed("%reduce/")) {
-        auto* h = static_cast<shm::ShmReduceHeader*>(addr);
-        h->lock.word.store(0, std::memory_order_release);
-        h->barrier.count.store(0, std::memory_order_release);
-        h->arrived = 0;
       }
     });
   }
@@ -957,11 +852,14 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole /*role*/, const std::string& label,
-      LockObserver* /*observer*/) override {
+      LockRole /*role*/, const std::string& label, LockObserver* /*observer*/,
+      bool held) override {
     // One keyed lock cell on the coordinator. Same label discipline as
     // the shm backend: construct-unique labels mean every member contends
-    // on the same coordinator cell.
+    // on the same coordinator cell. The constructs that declare a lock
+    // held (the DOALL gates) run as cluster engines, so none asks here.
+    FORCE_CHECK(!held, "cluster locks cannot be declared held ('" + label +
+                           "'): the coordinator creates every lock free");
     return std::make_unique<cluster::ClusterLock>(label);
   }
 

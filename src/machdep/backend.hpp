@@ -9,11 +9,18 @@
 //
 //   * ProcessModel / ExecutionBackend - the process substrate is chosen ONCE
 //     (ForceEnvironment construction) and every construct talks to one
-//     polymorphic surface. ThreadBackend returns null construct engines, so
-//     the thread axis keeps its monomorphic, inlined machinery (in
-//     particular the lock-free DispatchCounter fast path); ShmBackend and
-//     ClusterBackend hand out engines over machdep/shm and machdep/cluster.
-//     Core never names a backend (enforced by a CI layering lint).
+//     polymorphic surface. Constructs built from locks and shared memory
+//     alone (selfscheduled DOALL, reductions) ask it for exactly those: a
+//     lock (new_lock) and construct-once site storage (site_state). The
+//     thread backend hands out machine locks and a private store; the
+//     os-fork backend hands out futex locks and storage in the MAP_SHARED
+//     arena, so the same core code runs under both. Constructs the cluster
+//     backend cannot build that way - it has no shared memory - get
+//     construct engines over coordinator RPCs instead (DoallSite,
+//     ReductionSite, ...); a null engine means "no engine". Askfor and
+//     async cells still have os-fork engines too, and keyed barriers have
+//     one on both separate-process backends. Core never names a backend
+//     (enforced by a CI layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
 //     backend supports, consumed by (a) runtime rejection diagnostics
@@ -28,7 +35,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -125,7 +134,8 @@ struct CapabilityRow {
 // Byte-oriented so one interface covers every payload type; engines are only
 // created for trivially copyable payloads (the capability table rejects the
 // rest before an engine is requested). A null engine from the backend means
-// "no engine": the construct keeps its monomorphic thread-axis machinery.
+// "no engine": the construct runs its own code over new_lock and site_state.
+// DOALL sites and reduction sites are cluster-only engines.
 // ---------------------------------------------------------------------------
 
 /// Episode bounds of one selfscheduled DOALL site, as published by the
@@ -222,8 +232,7 @@ class ExecutionBackend {
     return backend_supports(model(), cap);
   }
 
-  // --- construct engines (null on ThreadBackend: keep the monomorphic
-  // --- thread machinery, including the lock-free dispatch fast path) ------
+  // --- construct engines (null where the backend has none) ---------------
   [[nodiscard]] virtual std::unique_ptr<DoallSite> make_doall_site(
       const std::string& site, int width);
   [[nodiscard]] virtual std::unique_ptr<AskforRing> make_askfor_ring(
@@ -237,22 +246,30 @@ class ExecutionBackend {
   [[nodiscard]] virtual std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key);
 
-  // --- locks ---------------------------------------------------------------
+  // --- locks and site storage ----------------------------------------------
 
   /// A construct lock on this substrate. `observer` (may be null) is the
   /// sentry hook; only the thread backend can honour it (the capability
-  /// table forbids the sentry elsewhere, so the others ignore it).
+  /// table forbids the sentry elsewhere, so the others ignore it). `held`
+  /// declares the lock's initial state: true creates it already held, as
+  /// if its creator had acquired it (a gate that starts closed). Backends
+  /// that key locks by label create it held only once per label.
   [[nodiscard]] virtual std::unique_ptr<BasicLock> new_lock(
-      LockRole role, const std::string& label, LockObserver* observer) = 0;
+      LockRole role, const std::string& label, LockObserver* observer,
+      bool held) = 0;
+
+  /// Zero-filled, construct-once storage for `key`: every member of the
+  /// team that asks for the same key addresses the same bytes, for the
+  /// backend's lifetime. Construct state kept here must be valid when all
+  /// its bytes are zero. The base class keeps a private aligned store
+  /// (thread and cluster); the os-fork backend places the storage in the
+  /// MAP_SHARED arena under "%site/<key>".
+  [[nodiscard]] virtual void* site_state(const std::string& key,
+                                         std::size_t bytes, std::size_t align);
 
   // --- team lifetime -------------------------------------------------------
 
   [[nodiscard]] virtual ProcessTeam process_team() const = 0;
-
-  /// Cross-address-space run-generation word, or null when the per-process
-  /// counter in the environment suffices (thread, cluster).
-  [[nodiscard]] virtual std::atomic<std::uint32_t>*
-  shared_run_generation_word();
 
   /// One force: spawns/arms the team, runs `member` for [0, nproc), joins,
   /// reports deaths. `program_type` identifies the program closure (the
@@ -269,6 +286,18 @@ class ExecutionBackend {
   /// Scrubs shared synchronization state after a member death so the
   /// owning environment stays usable (ShmBackend only; others throw).
   virtual void reset_shared_sync_after_death();
+
+ private:
+  struct AlignedDelete {
+    std::size_t align;
+    void operator()(void* p) const;
+  };
+  struct SiteBlob {
+    std::size_t bytes;
+    std::unique_ptr<void, AlignedDelete> data;
+  };
+  std::mutex site_mutex_;
+  std::map<std::string, SiteBlob> sites_;  // guarded by site_mutex_
 };
 
 /// Everything a backend needs from the environment, captured at selection

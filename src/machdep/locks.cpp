@@ -403,22 +403,19 @@ void CombinedLock::release() {
 // DispatchCounter
 // ---------------------------------------------------------------------------
 
-DispatchCounter::DispatchCounter() : pad_{} {}
-
-DispatchCounter::DispatchCounter(std::unique_ptr<BasicLock> lock)
-    : pad_{}, lock_(std::move(lock)) {
-  FORCE_CHECK(lock_ != nullptr, "lock-engine DispatchCounter needs a lock");
-}
+DispatchCounter::DispatchCounter(std::unique_ptr<BasicLock> lock,
+                                 std::atomic<std::int64_t>* word)
+    : pad_{}, value_(word != nullptr ? word : &own_), lock_(std::move(lock)) {}
 
 void DispatchCounter::reset(std::int64_t v) {
   // Single-threaded by contract; the caller's gate release publishes it.
-  value_.store(v, std::memory_order_relaxed);
+  value_->store(v, std::memory_order_relaxed);
 }
 
 std::int64_t DispatchCounter::value() const {
-  if (lock_ == nullptr) return value_.load(std::memory_order_acquire);
+  if (lock_ == nullptr) return value_->load(std::memory_order_acquire);
   lock_->acquire();
-  const std::int64_t v = value_.load(std::memory_order_relaxed);
+  const std::int64_t v = value_->load(std::memory_order_relaxed);
   lock_->release();
   return v;
 }
@@ -430,14 +427,14 @@ DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
     // RMW total order: successive returns tile [reset, ...) contiguously.
     // Plain ordering suffices for the counter itself; the episode gates
     // publish the loop bounds (see reset()).
-    const std::int64_t t = value_.fetch_add(want, std::memory_order_acq_rel);
+    const std::int64_t t = value_->fetch_add(want, std::memory_order_acq_rel);
     if (t >= limit) {
       // Exhausted. Pull the runaway value back down to `limit` so that
       // unbounded re-probing can never overflow the counter. Safe: once
       // the value has crossed `limit`, every trip below it has already
       // been granted exactly once, so no lower trip becomes claimable.
-      std::int64_t cur = value_.load(std::memory_order_relaxed);
-      while (cur > limit && !value_.compare_exchange_weak(
+      std::int64_t cur = value_->load(std::memory_order_relaxed);
+      while (cur > limit && !value_->compare_exchange_weak(
                                 cur, limit, std::memory_order_acq_rel,
                                 std::memory_order_relaxed)) {
       }
@@ -448,9 +445,9 @@ DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
   // Lock engine: the paper's expansion - one generic-lock pass per claim,
   // clamped at the limit so an exhausted loop never advances the counter.
   lock_->acquire();
-  const std::int64_t t = value_.load(std::memory_order_relaxed);
+  const std::int64_t t = value_->load(std::memory_order_relaxed);
   if (t < limit) {
-    value_.store(t + std::min(want, limit - t), std::memory_order_relaxed);
+    value_->store(t + std::min(want, limit - t), std::memory_order_relaxed);
   }
   lock_->release();
   if (t >= limit) return {t, 0};
@@ -461,24 +458,24 @@ DispatchClaim DispatchCounter::claim_fraction(std::int64_t limit,
                                               std::int64_t divisor) {
   FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
   if (lock_ == nullptr) {
-    std::int64_t t = value_.load(std::memory_order_relaxed);
+    std::int64_t t = value_->load(std::memory_order_relaxed);
     for (;;) {
       if (t >= limit) return {t, 0};
       const std::int64_t want =
           std::max<std::int64_t>(1, (limit - t) / divisor);
-      if (value_.compare_exchange_weak(t, t + want,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
+      if (value_->compare_exchange_weak(t, t + want,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
         return {t, want};
       }
     }
   }
   lock_->acquire();
-  const std::int64_t t = value_.load(std::memory_order_relaxed);
+  const std::int64_t t = value_->load(std::memory_order_relaxed);
   std::int64_t want = 0;
   if (t < limit) {
     want = std::max<std::int64_t>(1, (limit - t) / divisor);
-    value_.store(t + want, std::memory_order_relaxed);
+    value_->store(t + want, std::memory_order_relaxed);
   }
   lock_->release();
   return {t, want};

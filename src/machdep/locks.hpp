@@ -292,17 +292,21 @@ struct DispatchClaim {
 };
 
 /// A monotone trips-claimed counter with two interchangeable engines:
-/// a cache-line-padded atomic (hardware RMW machines) or a lock-guarded
-/// plain value (everything else). Both engines clamp at `limit`, so the
-/// stored value never runs away past the episode's trip count no matter
-/// how many exhausted processes keep probing (signed-overflow guard).
+/// an atomic fetch-add / CAS on the word (hardware RMW machines) or a
+/// lock-guarded read-modify-write of it (everything else). Both engines
+/// clamp at `limit`, so the stored value never runs away past the
+/// episode's trip count no matter how many exhausted processes keep
+/// probing (signed-overflow guard).
 class DispatchCounter {
  public:
-  /// Lock-free engine (requires hardware_atomic_rmw).
-  DispatchCounter();
-  /// Lock-guarded engine; `lock` must come from MachineModel::new_lock()
-  /// so claims stay on the machine's instrumented, budgeted locks.
-  explicit DispatchCounter(std::unique_ptr<BasicLock> lock);
+  /// A null `lock` selects the lock-free engine (requires
+  /// hardware_atomic_rmw); otherwise `lock` must be a generic machine lock
+  /// (MachineModel::new_lock(), or the backend's lock for a construct) so
+  /// claims stay on the instrumented, budgeted lock layer. `word` is the
+  /// shared counter - construct state that every member addresses - or
+  /// null for a counter owned by this object.
+  explicit DispatchCounter(std::unique_ptr<BasicLock> lock = nullptr,
+                           std::atomic<std::int64_t>* word = nullptr);
 
   DispatchCounter(const DispatchCounter&) = delete;
   DispatchCounter& operator=(const DispatchCounter&) = delete;
@@ -328,11 +332,11 @@ class DispatchCounter {
   DispatchClaim claim_fraction(std::int64_t limit, std::int64_t divisor);
 
  private:
-  // Padded so a hot dispatch counter never false-shares with neighbours
-  // (or with the cold fields of its owning construct).
-  alignas(64) std::atomic<std::int64_t> value_{0};
+  // Padded so an owned hot counter never false-shares with neighbours.
+  alignas(64) std::atomic<std::int64_t> own_{0};
   char pad_[64 - sizeof(std::atomic<std::int64_t>)];
-  std::unique_ptr<BasicLock> lock_;  // null => lock-free engine
+  std::atomic<std::int64_t>* value_;  // own_ or the construct's word
+  std::unique_ptr<BasicLock> lock_;   // null => lock-free engine
 };
 
 /// Combined lock (Flex/32): spin for `combined_spin_budget` probes, then

@@ -281,43 +281,6 @@ bool shm_cell_is_full(const ShmCellState& c) {
   return c.state.load(std::memory_order_acquire) == kFull;
 }
 
-// --- process-shared dispatch counter ---------------------------------------
-// Mirrors DispatchCounter's lock-free engine (locks.cpp) exactly; plain
-// atomic RMW is address-free, so the same algorithm is fork-safe as-is.
-
-DispatchClaim shm_dispatch_claim(ShmDispatchState& d, std::int64_t want,
-                                 std::int64_t limit) {
-  FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
-  const std::int64_t t = d.value.fetch_add(want, std::memory_order_acq_rel);
-  if (t >= limit) {
-    // Clamp the runaway value back to `limit` (overflow guard; every trip
-    // below limit has already been granted exactly once).
-    std::int64_t cur = d.value.load(std::memory_order_relaxed);
-    while (cur > limit &&
-           !d.value.compare_exchange_weak(cur, limit,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-    }
-    return {t, 0};
-  }
-  return {t, std::min(want, limit - t)};
-}
-
-DispatchClaim shm_dispatch_claim_fraction(ShmDispatchState& d,
-                                          std::int64_t limit,
-                                          std::int64_t divisor) {
-  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
-  std::int64_t t = d.value.load(std::memory_order_relaxed);
-  for (;;) {
-    if (t >= limit) return {t, 0};
-    const std::int64_t want = std::max<std::int64_t>(1, (limit - t) / divisor);
-    if (d.value.compare_exchange_weak(t, t + want, std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return {t, want};
-    }
-  }
-}
-
 // --- process-shared askfor monitor -----------------------------------------
 
 std::size_t shm_askfor_bytes(std::uint32_t capacity, std::uint32_t stride) {

@@ -134,8 +134,12 @@ class AnonMapping {
 
 /// The futex word of one process-shared binary semaphore.
 /// 0 = free, 1 = held (no waiters advertised), 2 = held + waiters.
+/// `initial` is the state the lock was declared with (0 free, 1 held);
+/// death recovery puts the word back to it.
 struct ShmLockState {
-  std::atomic<std::uint32_t> word{0};
+  explicit ShmLockState(std::uint32_t held = 0) : word(held), initial(held) {}
+  std::atomic<std::uint32_t> word;
+  std::uint32_t initial;
 };
 
 void shm_lock_acquire(ShmLockState& s);
@@ -208,52 +212,6 @@ bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
                           std::size_t n);
 void shm_cell_void(ShmCellState& c);
 [[nodiscard]] bool shm_cell_is_full(const ShmCellState& c);
-
-// --- process-shared dispatch counter ---------------------------------------
-
-/// The lock-free dispatch engine's counter, address-free so it works on
-/// shared pages: plain fetch-add / CAS, no waiting involved. Mirrors
-/// DispatchCounter's clamp-at-limit semantics exactly (see locks.cpp).
-struct alignas(64) ShmDispatchState {
-  std::atomic<std::int64_t> value{0};
-};
-
-DispatchClaim shm_dispatch_claim(ShmDispatchState& d, std::int64_t want,
-                                 std::int64_t limit);
-DispatchClaim shm_dispatch_claim_fraction(ShmDispatchState& d,
-                                          std::int64_t limit,
-                                          std::int64_t divisor);
-
-// --- selfscheduled-loop episode state --------------------------------------
-
-/// Shared state of one selfscheduled DOALL site under kOsFork: an entry
-/// barrier whose champion publishes the bounds and re-arms the dispatch,
-/// then a claim loop on the shared counter. Faithful to the paper there
-/// is NO exit barrier; reuse is still safe because the next episode's
-/// entry barrier cannot complete until every process has arrived, and a
-/// process only arrives after leaving the previous claim loop.
-struct ShmSelfschedState {
-  ShmBarrierState entry;
-  ShmDispatchState dispatch;
-  // Episode bounds: written only by the entry champion, inside the
-  // barrier section, published by the episode release.
-  std::int64_t start = 0;
-  std::int64_t last = 0;
-  std::int64_t incr = 1;
-  std::int64_t trips = 0;
-};
-
-// --- process-shared reduction header ----------------------------------------
-
-/// Fixed head of an os-fork reduction blob ("%reduce/<key>" in the arena,
-/// core/reduce.hpp): the payload-typed accumulator and result follow in
-/// the same allocation, but death recovery only needs to scrub these
-/// protocol words, so they are split out as an untemplated POD.
-struct ShmReduceHeader {
-  ShmLockState lock;
-  ShmBarrierState barrier;
-  std::uint32_t arrived = 0;  ///< guarded by lock
-};
 
 // --- process-shared askfor monitor -----------------------------------------
 

@@ -115,6 +115,63 @@ TEST(ForkBackend, RepeatedRunsReuseTheArenaState) {
   EXPECT_EQ(counter, 3 * kNproc);
 }
 
+// The selfscheduled DOALL runs the thread code under os-fork, so its
+// dispatch engine follows the machine and ForceConfig::dispatch exactly as
+// on threads: the lock engine keys its process-shared lock word in the
+// arena by the site, the lock-free engine has none.
+TEST(ForkBackend, DoallDispatchEngineFollowsMachineAndConfig) {
+  struct Case {
+    const char* machine;
+    const char* dispatch;
+    bool lock_engine;
+  };
+  for (const Case& c : {Case{"native", "locked", true},
+                        Case{"native", "auto", false},
+                        Case{"sequent", "auto", true}}) {
+    force::ForceConfig cfg = fork_config();
+    cfg.machine = c.machine;
+    cfg.dispatch = c.dispatch;
+    force::Force f(cfg);
+    auto& sum = f.shared<std::int64_t>("sum");
+    const core::Site site = FORCE_SITE;
+    f.run([&](core::Ctx& ctx) {
+      std::int64_t mine = 0;
+      ctx.selfsched_do(site, 1, 100, 1, [&](std::int64_t i) { mine += i; });
+      ctx.critical(FORCE_SITE, [&] { sum += mine; });
+    });
+    EXPECT_EQ(sum, 5050) << c.machine << " " << c.dispatch;
+    EXPECT_EQ(f.env().arena().contains_name("%lock/doall.dispatch@" +
+                                            site.key()),
+              c.lock_engine)
+        << c.machine << " " << c.dispatch;
+  }
+}
+
+// The tournament's slots wait with in-process atomic waits, which cannot
+// span fork children: under os-fork a kTournament request runs the
+// critical idiom and must agree with it.
+TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
+  force::Force f(fork_config());
+  auto& results = f.shared<std::array<std::int64_t, 2 * kNproc>>("results");
+  f.run([&](core::Ctx& ctx) {
+    const auto add = [](std::int64_t a, std::int64_t b) { return a + b; };
+    const auto me0 = static_cast<std::size_t>(ctx.me0());
+    for (int round = 0; round < 3; ++round) {
+      results[me0] = ctx.reduce<std::int64_t>(
+          FORCE_SITE, 10 * ctx.me() + round, add,
+          core::ReduceStrategy::kCritical);
+      results[kNproc + me0] = ctx.reduce<std::int64_t>(
+          FORCE_SITE, 10 * ctx.me() + round, add,
+          core::ReduceStrategy::kTournament);
+    }
+  });
+  // Round 2: 10 * (1 + 2 + 3 + 4) + 4 * 2.
+  for (std::size_t p = 0; p < kNproc; ++p) {
+    EXPECT_EQ(results[p], 108) << "critical, process " << p;
+    EXPECT_EQ(results[kNproc + p], results[p]) << "tournament, process " << p;
+  }
+}
+
 // --- privates and memory: fork(2) does the copying -------------------------
 
 // A private seeded through parent() before the first run reaches every

@@ -309,3 +309,54 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
   EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
 }
+
+// A member SIGKILLed inside a construct leaves its shared state mid-protocol:
+// inside a selfsched DOALL body the entry gates and arrival counter are
+// wedged (BARWIN held, the survivors' departures never reach zero), and
+// before a reduction the accumulator count and the barrier's arrival count
+// hold the survivors' contributions. The death scrub resets all of it by
+// name prefix, so the next run of the same program on a re-forked team
+// completes and matches the sequential result.
+TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
+  force::Force f(fork_pool_config());
+  auto& kill_at = f.shared<std::int64_t>("kill_at");
+  auto& total = f.shared<std::int64_t>("total");
+  constexpr std::int64_t kTrips = 200;
+  constexpr std::int64_t kSequential = kTrips * (kTrips + 1) / 2;
+  enum : std::int64_t { kNoKill = 0, kInDoallBody = 1, kBeforeReduce = 2 };
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    std::int64_t mine = 0;
+    ctx.selfsched_do(FORCE_SITE, 1, kTrips, 1, [&](std::int64_t i) {
+      // Whoever draws the middle trip dies holding a claimed chunk.
+      if (kill_at == kInDoallBody && i == kTrips / 2) raise(SIGKILL);
+      mine += i;
+    });
+    if (kill_at == kBeforeReduce && ctx.me() == 3) raise(SIGKILL);
+    ctx.reduce_into<std::int64_t>(FORCE_SITE, mine, total,
+                                  [](std::int64_t a, std::int64_t b) {
+                                    return a + b;
+                                  });
+    ctx.barrier();
+  };
+
+  for (const std::int64_t victim_site : {kInDoallBody, kBeforeReduce}) {
+    kill_at = kNoKill;
+    total = 0;
+    f.run(program);
+    EXPECT_EQ(total, kSequential) << "clean run before site " << victim_site;
+
+    kill_at = victim_site;
+    EXPECT_THROW(f.run(program), md::ProcessDeathError)
+        << "site " << victim_site;
+    EXPECT_FALSE(f.env().fork_pool(kNproc).armed());
+
+    kill_at = kNoKill;
+    total = 0;
+    f.run(program);
+    EXPECT_EQ(total, kSequential) << "run after a death at site "
+                                  << victim_site;
+    EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
+  }
+  EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
