@@ -22,12 +22,21 @@
 //     one word are stored *in* the cell (bit-cast), exactly as on the real
 //     machine; wider payloads sit beside the cell and are moved inside its
 //     busy window.
+//
+// Both are built only from the machine-dependent layer: the cell, the Isfull
+// flag and the payload live in site state keyed by the variable's label, and
+// the locks come from the environment under labels derived from it. So the
+// same code runs under threads and os-fork, where the site state sits in the
+// MAP_SHARED arena and the locks are process-shared. Only the cluster
+// backend, which has no shared memory, keeps its cells on the coordinator.
 #pragma once
 
-#include <bit>
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/env.hpp"
 #include "core/sentry.hpp"
@@ -49,31 +58,34 @@ class Async {
 
  public:
   /// Creates the variable in the *empty* state (like Void at startup).
-  /// `label` names the variable in sentry reports.
-  explicit Async(ForceEnvironment& env, std::string label = "async")
-      : env_(&env), sentry_(env.sentry()), label_(std::move(label)) {
-    // Both per-process schemes below (lock pair + value_ member, HEP cell +
-    // value_ member) keep the payload in this object, which a sibling
-    // address space cannot see. Separate-process backends hand out a cell
-    // engine keyed by the label instead (labels are construct-unique:
-    // sites, names, array elements); the payload then crosses by memcpy,
-    // which is why those backends reject non-trivially-copyable types.
+  /// `key` names the variable in sentry reports and keys its shared state
+  /// and locks, so it must be unique to the variable; an empty key makes
+  /// an anonymous variable.
+  explicit Async(ForceEnvironment& env, const std::string& key = "")
+      : env_(&env),
+        sentry_(env.sentry()),
+        label_(key.empty() ? env.anonymous_site_key() : key) {
     if constexpr (std::is_trivially_copyable_v<T>) {
-      cell_engine_ = env.backend().make_async_cell(label_, sizeof(T),
-                                                   alignof(T));
+      // The cluster engine keeps the cell on the coordinator; the payload
+      // crosses by memcpy.
+      engine_ = env.backend().make_async_cell(label_, sizeof(T), alignof(T));
+      if (engine_ != nullptr) return;
+      state_ = &env.site_state<State>("async/" + label_);
     } else {
-      // Null engine + supported capability = the in-process schemes below;
-      // backends that cannot memcpy the payload across reject here.
+      // Thread-only (the capability table rejects it elsewhere), so the
+      // state may stay process-owned.
       env.require(machdep::Capability::kNonTrivialPayloads, "Async payload",
                   label_);
+      owned_ = std::make_unique<State>();
+      state_ = owned_.get();
     }
-    if (cell_engine_ != nullptr) return;
     hardware_ = env.machine().spec().hardware_full_empty;
     if (!hardware_) {
-      lock_e_ = env.new_lock(machdep::LockRole::kSemaphore, label_ + ".E");
+      // empty: E locked, F unlocked
+      lock_e_ = env.new_lock(machdep::LockRole::kSemaphore, label_ + ".E",
+                             /*held=*/true);
       lock_f_ = env.new_lock(machdep::LockRole::kSemaphore, label_ + ".F");
       void_guard_ = env.new_lock(machdep::LockRole::kMutex, label_ + ".void");
-      lock_e_->acquire();  // empty: E locked, F unlocked
     }
   }
 
@@ -83,257 +95,104 @@ class Async {
   /// Waits for empty, writes `v`, leaves full.
   void produce(const T& v) {
     env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-    if (cell_engine_ != nullptr) {
-      cell_engine_->produce(&v);
-      return;
+    if (engine_ != nullptr) return engine_->produce(&v);
+    if constexpr (kInCell) {
+      if (in_cell()) return state_->cell.produce(encode(v));
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        // Sentry mode always uses the wide-payload busy-window protocol so
-        // the hooks sit inside the exclusion window the cell guarantees.
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kProduce, this,
-                               label_);
-          cell_.seize_empty();
-        }
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-      } else if constexpr (kInCell) {
-        cell_.produce(encode(v));
-      } else {
-        cell_.seize_empty();
-        value_ = v;
-        cell_.publish_full();
-      }
-    } else {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kProduce, this,
-                               label_);
-          lock_f_->acquire();
-        }
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-      } else {
-        lock_f_->acquire();
-        value_ = v;
-      }
-      full_.store(true, std::memory_order_release);
-      lock_e_->release();
-    }
+    take(/*want_full=*/false, Sentry::WaitKind::kProduce);
+    write(v);
+    leave(/*full=*/true);
   }
 
   /// Waits for full, reads, leaves empty.
   T consume() {
     env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-    if (cell_engine_ != nullptr) {
-      T v{};
-      cell_engine_->consume(&v);
+    T v{};
+    if (engine_ != nullptr) {
+      engine_->consume(&v);
       return v;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                               label_);
-          cell_.seize_full();
-        }
-        sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-        T v = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_empty();
-        return v;
-      }
-      if constexpr (kInCell) {
-        return decode(cell_.consume());
-      } else {
-        cell_.seize_full();
-        T v = value_;
-        cell_.publish_empty();
-        return v;
-      }
+    if constexpr (kInCell) {
+      if (in_cell()) return decode(state_->cell.consume());
     }
-    if (sentry_ != nullptr) {
-      {
-        Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                             label_);
-        lock_e_->acquire();
-      }
-      sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-      T v = value_;
-      sentry_->channel_exit(this);
-      full_.store(false, std::memory_order_release);
-      lock_f_->release();
-      return v;
-    }
-    lock_e_->acquire();
-    T v = value_;
-    full_.store(false, std::memory_order_release);
-    lock_f_->release();
+    take(/*want_full=*/true, Sentry::WaitKind::kConsume);
+    v = read("Consume");
+    leave(/*full=*/false);
     return v;
   }
 
-  /// Waits for full, reads, leaves full (the Force Copy access).
+  /// Waits for full, reads, leaves full (the Force Copy access). On the
+  /// two-lock scheme a concurrent producer cannot interleave: it needs F,
+  /// which stays locked throughout.
   T copy() {
-    if (cell_engine_ != nullptr) {
-      T v{};
-      cell_engine_->copy(&v);
+    T v{};
+    if (engine_ != nullptr) {
+      engine_->copy(&v);
       return v;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                               label_);
-          cell_.seize_full();
-        }
-        sentry_->channel_enter(this, /*is_write=*/false, "Copy");
-        T v = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-        return v;
-      }
-      if constexpr (kInCell) {
-        return decode(cell_.copy());
-      } else {
-        cell_.seize_full();
-        T v = value_;
-        cell_.publish_full();
-        return v;
-      }
+    if constexpr (kInCell) {
+      if (in_cell()) return decode(state_->cell.copy());
     }
-    // Software path: momentarily consume and re-produce under E so that a
-    // concurrent producer cannot interleave (it needs F, which stays
-    // locked throughout).
-    if (sentry_ != nullptr) {
-      {
-        Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                             label_);
-        lock_e_->acquire();
-      }
-      sentry_->channel_enter(this, /*is_write=*/false, "Copy");
-      T v = value_;
-      sentry_->channel_exit(this);
-      lock_e_->release();
-      return v;
-    }
-    lock_e_->acquire();
-    T v = value_;
-    lock_e_->release();
+    take(/*want_full=*/true, Sentry::WaitKind::kConsume);
+    v = read("Copy");
+    leave(/*full=*/true);
     return v;
   }
 
   /// Non-blocking produce; true on success.
   bool try_produce(const T& v) {
-    if (cell_engine_ != nullptr) {
-      const bool ok = cell_engine_->try_produce(&v);
-      if (ok) env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-      return ok;
+    bool ok = false;
+    if (engine_ != nullptr) {
+      ok = engine_->try_produce(&v);
+    } else if (in_cell()) {
+      if constexpr (kInCell) ok = state_->cell.try_produce(encode(v));
+    } else if (try_take(/*want_full=*/false)) {
+      write(v);
+      leave(/*full=*/true);
+      ok = true;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        if (!cell_.try_seize_empty()) return false;
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-        env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if constexpr (kInCell) {
-        const bool ok = cell_.try_produce(encode(v));
-        if (ok) env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return ok;
-      } else {
-        if (!cell_.try_seize_empty()) return false;
-        value_ = v;
-        cell_.publish_full();
-        env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    if (!lock_f_->try_acquire()) return false;
-    if (sentry_ != nullptr) {
-      sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-      value_ = v;
-      sentry_->channel_exit(this);
-    } else {
-      value_ = v;
-    }
-    full_.store(true, std::memory_order_release);
-    lock_e_->release();
-    env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    if (ok) env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
+    return ok;
   }
 
   /// Non-blocking consume; true on success.
   bool try_consume(T* out) {
     FORCE_CHECK(out != nullptr, "try_consume needs an output slot");
-    if (cell_engine_ != nullptr) {
-      const bool ok = cell_engine_->try_consume(out);
-      if (ok) env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-      return ok;
-    }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        if (!cell_.try_seize_full()) return false;
-        sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-        *out = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_empty();
-        env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+    bool ok = false;
+    if (engine_ != nullptr) {
+      ok = engine_->try_consume(out);
+    } else if (in_cell()) {
       if constexpr (kInCell) {
-        std::uint64_t bits;
-        if (!cell_.try_consume(&bits)) return false;
-        *out = decode(bits);
-      } else {
-        if (!cell_.try_seize_full()) return false;
-        *out = value_;
-        cell_.publish_empty();
+        std::uint64_t bits = 0;
+        ok = state_->cell.try_consume(&bits);
+        if (ok) *out = decode(bits);
       }
-      env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-      return true;
+    } else if (try_take(/*want_full=*/true)) {
+      *out = read("Consume");
+      leave(/*full=*/false);
+      ok = true;
     }
-    if (!lock_e_->try_acquire()) return false;
-    if (sentry_ != nullptr) {
-      sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-      *out = value_;
-      sentry_->channel_exit(this);
-    } else {
-      *out = value_;
-    }
-    full_.store(false, std::memory_order_release);
-    lock_f_->release();
-    env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    if (ok) env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
+    return ok;
   }
 
   /// Forces the state to empty regardless of the previous state (Void).
   /// Concurrent Voids are serialized; a Void that overlaps an in-flight
   /// Produce may land before or after it, as on the original machines.
   void void_state() {
-    if (cell_engine_ != nullptr) {
-      cell_engine_->void_state();
-      return;
-    }
+    if (engine_ != nullptr) return engine_->void_state();
     // Void gives no exclusion window over the payload, so the sentry only
     // joins clocks (channel_sync), it does not record a payload access.
     if (hardware_) {
       if (sentry_ != nullptr) sentry_->channel_sync(this);
-      cell_.make_empty();
+      state_->cell.make_empty();
       return;
     }
     void_guard_->acquire();
     if (sentry_ != nullptr) sentry_->channel_sync(this);
-    if (full_.load(std::memory_order_acquire)) {
+    if (state_->full.load(std::memory_order_acquire)) {
       lock_e_->acquire();  // consume the token without reading the value
-      full_.store(false, std::memory_order_release);
-      lock_f_->release();
+      leave(/*full=*/false);
     }
     void_guard_->release();
   }
@@ -342,9 +201,9 @@ class Async {
   [[nodiscard]] bool is_full() const {
     // Backends without the isfull capability throw the uniform capability
     // diagnostic from inside their engine.
-    if (cell_engine_ != nullptr) return cell_engine_->is_full();
-    if (hardware_) return cell_.is_full();
-    return full_.load(std::memory_order_acquire);
+    if (engine_ != nullptr) return engine_->is_full();
+    if (hardware_) return state_->cell.is_full();
+    return state_->full.load(std::memory_order_acquire);
   }
 
   /// True if this variable uses the HEP tagged-cell path.
@@ -353,6 +212,65 @@ class Async {
   [[nodiscard]] static constexpr bool payload_in_cell() { return kInCell; }
 
  private:
+  /// The variable's shared state; all-zero bytes are an empty variable.
+  struct State {
+    machdep::HepCell cell;          // HEP: the tagged cell
+    std::atomic<bool> full{false};  // two-lock scheme: the Isfull flag
+    T value{};  // two-lock payload, or a HEP payload kept beside the cell
+  };
+
+  /// True when a one-word payload travels inside the HEP cell itself. The
+  /// sentry keeps it beside the cell so its hooks sit in the busy window.
+  [[nodiscard]] bool in_cell() const {
+    return kInCell && hardware_ && sentry_ == nullptr;
+  }
+
+  /// Waits for the full (`want_full`) or empty state and takes the
+  /// variable's exclusive window: the HEP busy state, or lock E / lock F.
+  void take(bool want_full, Sentry::WaitKind kind) {
+    if (sentry_ == nullptr) return wait_for(want_full);
+    Sentry::WaitScope ws(sentry_, kind, this, label_);
+    wait_for(want_full);
+  }
+  void wait_for(bool want_full) {
+    if (hardware_) {
+      want_full ? state_->cell.seize_full() : state_->cell.seize_empty();
+    } else {
+      (want_full ? lock_e_ : lock_f_)->acquire();
+    }
+  }
+  bool try_take(bool want_full) {
+    if (hardware_) {
+      return want_full ? state_->cell.try_seize_full()
+                       : state_->cell.try_seize_empty();
+    }
+    return (want_full ? lock_e_ : lock_f_)->try_acquire();
+  }
+
+  /// Ends the window, leaving the variable full or empty.
+  void leave(bool full) {
+    if (hardware_) {
+      full ? state_->cell.publish_full() : state_->cell.publish_empty();
+      return;
+    }
+    state_->full.store(full, std::memory_order_release);
+    (full ? lock_e_ : lock_f_)->release();
+  }
+
+  /// Payload moves inside the window, bracketed by the sentry's channel
+  /// hooks when it is on.
+  void write(const T& v) {
+    if (sentry_ != nullptr) sentry_->channel_enter(this, true, "Produce");
+    state_->value = v;
+    if (sentry_ != nullptr) sentry_->channel_exit(this);
+  }
+  T read(const char* op) {
+    if (sentry_ != nullptr) sentry_->channel_enter(this, false, op);
+    T v = state_->value;
+    if (sentry_ != nullptr) sentry_->channel_exit(this);
+    return v;
+  }
+
   static std::uint64_t encode(const T& v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(T));
@@ -366,36 +284,33 @@ class Async {
 
   ForceEnvironment* env_;
   Sentry* sentry_;  // null when validation is off (the usual case)
-  bool hardware_ = false;
   std::string label_;
-  // Separate-process backends: the full/empty state and payload live in
-  // one backend cell engine keyed by label_ (an arena blob under os-fork,
-  // the coordinator's cell table under cluster). Null on the thread
-  // backend, which keeps the in-process schemes below.
-  std::unique_ptr<machdep::AsyncCell> cell_engine_;
-  // Software scheme state:
+  bool hardware_ = false;
+  /// Cluster only: the coordinator's cell. Null elsewhere, where the
+  /// members below are used.
+  std::unique_ptr<machdep::AsyncCell> engine_;
+  State* state_ = nullptr;  // site state, or owned_ for non-trivial T
+  std::unique_ptr<State> owned_;
+  // Two-lock scheme only:
   std::unique_ptr<machdep::BasicLock> lock_e_;
   std::unique_ptr<machdep::BasicLock> lock_f_;
   std::unique_ptr<machdep::BasicLock> void_guard_;
-  std::atomic<bool> full_{false};
-  // Hardware scheme state:
-  machdep::HepCell cell_;
-  // Payload (software scheme, or hardware scheme with wide payloads):
-  T value_{};
 };
 
 /// A fixed-size array of async variables (Force `Async real A(n)`), e.g.
 /// for pipelined wavefront algorithms where element (i) being full means
 /// row i is ready. Also the stress subject of the lock-scarcity bench.
+/// Element i is keyed "<key>(i)"; an empty key makes an anonymous array.
 template <typename T>
 class AsyncArray {
  public:
-  AsyncArray(ForceEnvironment& env, std::size_t n, std::string label = "async")
-      : label_(std::move(label)) {
+  AsyncArray(ForceEnvironment& env, std::size_t n,
+             const std::string& key = "") {
+    const std::string label = key.empty() ? env.anonymous_site_key() : key;
     slots_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       slots_.push_back(std::make_unique<Async<T>>(
-          env, label_ + "(" + std::to_string(i) + ")"));
+          env, label + "(" + std::to_string(i) + ")"));
     }
   }
 
@@ -406,7 +321,6 @@ class AsyncArray {
   }
 
  private:
-  std::string label_;
   std::vector<std::unique_ptr<Async<T>>> slots_;
 };
 

@@ -238,14 +238,14 @@ class ForceEnvironment {
 
   /// Scrubs the process-shared synchronization state in the arena after
   /// a pooled team died mid-protocol, by name prefix and without knowing
-  /// any construct's layout: site state (DOALL gates, reductions, the run
-  /// generation) zeroed, lock words back to their declared initial state,
-  /// barrier arrival counts zeroed - plus the two remaining engines: askfor
-  /// rings re-initialized and busy async cells emptied. A poisoned team
-  /// leaves this state wherever the victims stood, so the fresh team the
-  /// next run forks must not inherit it. User data - shared variables,
-  /// full async payloads - is untouched. os-fork only; called with no team
-  /// alive (between pool retirement and respawn).
+  /// any construct's layout: site state (DOALL gates, reductions, async
+  /// cells, the run generation) zeroed, lock words back to their declared
+  /// initial state, barrier arrival counts zeroed, askfor rings
+  /// re-initialized. A poisoned team leaves this state wherever the
+  /// victims stood, so the fresh team the next run forks must not inherit
+  /// it. Every async variable restarts empty, even one a finished producer
+  /// had left full; shared variables are untouched. os-fork only; called
+  /// with no team alive (between pool retirement and respawn).
   void reset_shared_sync_after_death();
 
   /// Force-entry generation: bumped once at the top of every Force::run,

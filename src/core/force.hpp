@@ -242,7 +242,7 @@ class Ctx {
   template <typename T>
   [[nodiscard]] Async<T>& async_var(const Site& site) {
     return state<Async<T>>(site, "%async", [this, &site] {
-      return std::make_unique<Async<T>>(*env_, "async@" + site.key());
+      return std::make_unique<Async<T>>(*env_, "async@" + site_key(site));
     });
   }
 
@@ -250,11 +250,12 @@ class Ctx {
   /// preprocessor-generated code binds async variables by name).
   template <typename T>
   [[nodiscard]] Async<T>& async_named(const std::string& name) {
-    const std::string key =
-        (ns_.empty() ? name : ns_ + "/" + name) + "%asyncvar";
-    return env_->sites().get_or_create<Async<T>>(key, [this, &name] {
-      return std::make_unique<Async<T>>(*env_, "async '" + name + "'");
-    });
+    const std::string qualified = ns_.empty() ? name : ns_ + "/" + name;
+    return env_->sites().get_or_create<Async<T>>(
+        qualified + "%asyncvar", [this, &qualified] {
+          return std::make_unique<Async<T>>(*env_,
+                                            "async '" + qualified + "'");
+        });
   }
 
   /// Array of async variables at `site` (Force `Async real A(n)`). All
@@ -263,7 +264,7 @@ class Ctx {
   [[nodiscard]] AsyncArray<T>& async_array(const Site& site, std::size_t n) {
     auto& arr = state<AsyncArray<T>>(site, "%asyncarr", [this, n, &site] {
       return std::make_unique<AsyncArray<T>>(*env_, n,
-                                             "async@" + site.key());
+                                             "async@" + site_key(site));
     });
     FORCE_CHECK(arr.size() == n, "async array size disagrees across processes");
     return arr;

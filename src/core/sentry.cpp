@@ -30,14 +30,6 @@ struct TlsFuzz {
 };
 thread_local TlsFuzz tls_fuzz;
 
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
 void join_into(std::vector<std::uint32_t>& dst,
                const std::vector<std::uint32_t>& src) {
   if (dst.size() < src.size()) dst.resize(src.size(), 0);
@@ -535,7 +527,7 @@ void Sentry::fuzz() {
     std::this_thread::yield();
   } else if ((u & 63u) == 1) {
     const int spins = static_cast<int>((u >> 6) & 255u);
-    for (int i = 0; i < spins; ++i) cpu_relax();
+    for (int i = 0; i < spins; ++i) machdep::cpu_relax();
   }
 }
 

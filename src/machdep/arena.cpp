@@ -32,7 +32,7 @@ shm::AnonMapping zeroed_segment(std::size_t bytes) {
 // lazily allocated by one child is visible - at the same offset - to all.
 
 // Entries carry no initializers: the header is constructed without touching
-// the 1024-entry table (about 48 pages of an already-zero mapping), and
+// the 4096-entry table (about 184 pages of an already-zero mapping), and
 // shm_add_locked writes every field before entry_count publishes an entry.
 struct ShmArenaEntry {
   char name[152];
@@ -52,7 +52,7 @@ struct ShmArenaHeader {
   std::atomic<std::uint64_t> generation{0};  ///< bumped per placement
   std::uint64_t cursor = 0;
   std::uint64_t padding_bytes = 0;
-  static constexpr std::size_t kMaxEntries = 1024;
+  static constexpr std::size_t kMaxEntries = 4096;
   ShmArenaEntry entries[kMaxEntries];
 };
 

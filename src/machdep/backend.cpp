@@ -1,8 +1,8 @@
 // ExecutionBackend implementations: the one place that knows how each
 // process substrate realizes the Force's constructs. ThreadBackend and
-// ShmBackend hand out locks and site storage, over which the core DOALL and
-// reduction run unchanged; ShmBackend adds engines for the constructs whose
-// os-fork protocols still differ (askfor rings, async cells, keyed
+// ShmBackend hand out locks and site storage, over which the core DOALL,
+// reduction and async variables run unchanged; ShmBackend adds engines for
+// the constructs whose os-fork protocols still differ (askfor rings, keyed
 // barriers), and ClusterBackend engines serve every construct through the
 // coordinator.
 #include "machdep/backend.hpp"
@@ -301,48 +301,6 @@ class ShmAskforRing final : public AskforRing {
  private:
   shm::ShmAskforState* state_;
   std::string label_;
-};
-
-class ShmAsyncCell final : public AsyncCell {
- public:
-  ShmAsyncCell(SharedArena* arena, const std::string& label,
-               std::size_t payload_bytes)
-      : label_(label), bytes_(payload_bytes) {
-    // One blob: the state word first (its 64-byte alignment covers any
-    // payload the capability gate admits), the payload window right after.
-    void* blob = arena->allocate_once(
-        "%async/" + label, sizeof(shm::ShmCellState) + payload_bytes,
-        alignof(shm::ShmCellState), VarClass::kShared,
-        [](void* p) { new (p) shm::ShmCellState(); });
-    state_ = static_cast<shm::ShmCellState*>(blob);
-    payload_ = static_cast<unsigned char*>(blob) + sizeof(shm::ShmCellState);
-  }
-
-  void produce(const void* value) override {
-    shm::shm_cell_produce(*state_, payload_, value, bytes_, label_.c_str());
-  }
-  void consume(void* out) override {
-    shm::shm_cell_consume(*state_, payload_, out, bytes_, label_.c_str());
-  }
-  void copy(void* out) override {
-    shm::shm_cell_copy(*state_, payload_, out, bytes_, label_.c_str());
-  }
-  bool try_produce(const void* value) override {
-    return shm::shm_cell_try_produce(*state_, payload_, value, bytes_);
-  }
-  bool try_consume(void* out) override {
-    return shm::shm_cell_try_consume(*state_, payload_, out, bytes_);
-  }
-  void void_state() override { shm::shm_cell_void(*state_); }
-  [[nodiscard]] bool is_full() override {
-    return shm::shm_cell_is_full(*state_);
-  }
-
- private:
-  shm::ShmCellState* state_;
-  unsigned char* payload_;
-  std::string label_;
-  std::size_t bytes_;
 };
 
 // ---------------------------------------------------------------------------
@@ -668,17 +626,6 @@ class ShmBackend final : public ExecutionBackend {
     return std::make_unique<ShmAskforRing>(arena_, key, capacity, task_bytes);
   }
 
-  [[nodiscard]] std::unique_ptr<AsyncCell> make_async_cell(
-      const std::string& label, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    // The payload window follows a 64-byte-aligned state word; stricter
-    // alignments would need padding nobody has asked for yet.
-    FORCE_CHECK(payload_align <= alignof(shm::ShmCellState),
-                "os-fork async payloads must not require more than 64-byte "
-                "alignment (the payload window follows the cell state word)");
-    return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
-  }
-
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key) override {
     return std::make_unique<ShmBarrierEngine>(arena_, width, key);
@@ -766,8 +713,10 @@ class ShmBackend final : public ExecutionBackend {
       };
       if (prefixed("%site/")) {
         // Construct state over locks and site storage (DOALL gates'
-        // arrival count and bounds, reduction accumulators, the run
-        // generation): zero is every site's fresh state.
+        // arrival count and bounds, reduction accumulators, async cells'
+        // tagged words, Isfull flags and payloads, the run generation):
+        // zero is every site's fresh state, so every async cell restarts
+        // empty - its E/F locks go back to their declared state below.
         std::memset(addr, 0, bytes);
       } else if (prefixed("%lock/")) {
         auto* l = static_cast<shm::ShmLockState*>(addr);
@@ -788,13 +737,6 @@ class ShmBackend final : public ExecutionBackend {
         // Back to "never armed": the next entry's first operation runs the
         // full generation re-arm.
         a->seen_gen.store(0, std::memory_order_release);
-      } else if (prefixed("%async/")) {
-        // Busy means a victim died inside the payload window and the bytes
-        // are undefined: drop to empty. Full cells are user data and stay.
-        auto* c = static_cast<shm::ShmCellState*>(addr);
-        std::uint32_t busy = 2;
-        c->state.compare_exchange_strong(busy, 0,
-                                         std::memory_order_acq_rel);
       }
     });
   }

@@ -10,16 +10,17 @@
 //   * ProcessModel / ExecutionBackend - the process substrate is chosen ONCE
 //     (ForceEnvironment construction) and every construct talks to one
 //     polymorphic surface. Constructs built from locks and shared memory
-//     alone (selfscheduled DOALL, reductions) ask it for exactly those: a
-//     lock (new_lock) and construct-once site storage (site_state). The
+//     alone (selfscheduled DOALL, reductions, async variables) ask it for
+//     exactly those: a lock (new_lock) and construct-once site storage
+//     (site_state). The
 //     thread backend hands out machine locks and a private store; the
 //     os-fork backend hands out futex locks and storage in the MAP_SHARED
 //     arena, so the same core code runs under both. Constructs the cluster
 //     backend cannot build that way - it has no shared memory - get
 //     construct engines over coordinator RPCs instead (DoallSite,
-//     ReductionSite, ...); a null engine means "no engine". Askfor and
-//     async cells still have os-fork engines too, and keyed barriers have
-//     one on both separate-process backends. Core never names a backend
+//     ReductionSite, AsyncCell, ...); a null engine means "no engine".
+//     Askfor still has an os-fork engine too, and keyed barriers have one
+//     on both separate-process backends. Core never names a backend
 //     (enforced by a CI layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
@@ -135,7 +136,7 @@ struct CapabilityRow {
 // created for trivially copyable payloads (the capability table rejects the
 // rest before an engine is requested). A null engine from the backend means
 // "no engine": the construct runs its own code over new_lock and site_state.
-// DOALL sites and reduction sites are cluster-only engines.
+// DOALL sites, reduction sites and async cells are cluster-only engines.
 // ---------------------------------------------------------------------------
 
 /// Episode bounds of one selfscheduled DOALL site, as published by the

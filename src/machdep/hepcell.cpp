@@ -1,160 +1,141 @@
 #include "machdep/hepcell.hpp"
 
 #include "machdep/fiber.hpp"
+#include "machdep/locks.hpp"
+#include "machdep/shm.hpp"
 
 namespace force::machdep {
 
 namespace {
 std::atomic<std::uint64_t> g_hep_waits{0};
 
-/// Parks until the cell's state word moves past `expected`. Plain threads
-/// use the futex-style atomic wait; an N:M pooled member instead yields
-/// its worker to sibling continuations - the produce it waits for may be
-/// scheduled on this very thread.
-inline void park_on_state(std::atomic<std::uint32_t>& state,
-                          std::uint32_t expected) {
-  if (on_fiber()) {
-    member_yield();
-    return;
-  }
-  state.wait(expected, std::memory_order_relaxed);
-}
+/// A blocked access pauses this many times, then yields this many times,
+/// before it parks: the spin libstdc++'s atomic wait makes before its
+/// futex, so a handoff between two running threads rarely sleeps.
+constexpr int kSpinRelax = 12;
+constexpr int kSpinYield = 4;
 }  // namespace
 
 HepCell::HepCell(std::uint64_t initial_value)
     : state_(kFull), value_(initial_value) {}
 
-void HepCell::await_and_seize(State from) {
-  for (;;) {
-    std::uint32_t expected = from;
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      return;
+std::uint32_t HepCell::await_and_seize(std::uint32_t from) {
+  // First guess: the cell is in `from` and nobody is parked. A failed CAS
+  // reloads `s` with the actual word.
+  std::uint32_t s = from == kStable ? kEmpty : from;
+  for (int spin = 0;; ++spin) {
+    const std::uint32_t now = s & kStateMask;
+    if (from == kStable ? now != kBusy : now == from) {
+      const std::uint32_t busy = kBusy | (s & kWaiters);
+      if (state_.compare_exchange_weak(s, busy, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+        return busy;
+      }
+      continue;
     }
-    if (expected != from) {
-      // Not in the desired state: park until the state word changes.
-      // (kBusy windows are tiny; waiting on them too is harmless.)
-      g_hep_waits.fetch_add(1, std::memory_order_relaxed);
-      park_on_state(state_, expected);
+    if (spin < kSpinRelax) {
+      cpu_relax();
+    } else {
+      if (spin == kSpinRelax) {
+        g_hep_waits.fetch_add(1, std::memory_order_relaxed);
+      }
+      // A busy word is never marked or slept on: its owner alone writes
+      // it, so the publish that ends the window needs no atomic
+      // read-modify-write to see the mark. The window is a few stores, so
+      // a waiter yields until it ends (a dead owner poisons the team). An
+      // N:M pooled member never parks either: the access it waits for may
+      // be scheduled on this very worker thread.
+      if (now == kBusy || spin < kSpinRelax + kSpinYield || on_fiber()) {
+        shm::check_poison();
+        member_yield();
+      } else {
+        park(s);
+      }
     }
-    // CAS failure with expected == from is spurious; just retry.
+    s = state_.load(std::memory_order_relaxed);
   }
 }
 
+void HepCell::park(std::uint32_t seen) {
+  // Mark before parking. The mark-setting CAS fails if the state moved,
+  // and then the caller re-checks instead of sleeping.
+  if ((seen & kWaiters) == 0 &&
+      !state_.compare_exchange_strong(seen, seen | kWaiters,
+                                      std::memory_order_relaxed,
+                                      std::memory_order_relaxed)) {
+    return;
+  }
+  shm::check_poison();
+  shm::futex_wait(&state_, seen | kWaiters);
+}
+
+std::uint32_t HepCell::try_seize(std::uint32_t from) {
+  std::uint32_t s = state_.load(std::memory_order_relaxed);
+  while ((s & kStateMask) == from) {
+    const std::uint32_t busy = kBusy | (s & kWaiters);
+    if (state_.compare_exchange_weak(s, busy, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      return busy;
+    }
+  }
+  return 0;
+}
+
+void HepCell::publish(std::uint32_t to, std::uint32_t busy) {
+  state_.store(to, std::memory_order_release);
+  if ((busy & kWaiters) != 0) shm::futex_wake(&state_, -1);
+}
+
 void HepCell::produce(std::uint64_t value) {
-  await_and_seize(kEmpty);
+  const std::uint32_t busy = await_and_seize(kEmpty);
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish(kFull, busy);
 }
 
 std::uint64_t HepCell::consume() {
-  await_and_seize(kFull);
+  const std::uint32_t busy = await_and_seize(kFull);
   const std::uint64_t v = value_;
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  publish(kEmpty, busy);
   return v;
 }
 
 std::uint64_t HepCell::copy() const {
   auto* self = const_cast<HepCell*>(this);
-  self->await_and_seize(kFull);
+  const std::uint32_t busy = self->await_and_seize(kFull);
   const std::uint64_t v = value_;
-  self->state_.store(kFull, std::memory_order_release);
-  self->state_.notify_all();
+  self->publish(kFull, busy);
   return v;
 }
 
 void HepCell::make_empty() {
-  // Void must succeed from any state; win the busy protocol from either
-  // stable state, then declare empty.
-  for (;;) {
-    std::uint32_t expected = state_.load(std::memory_order_relaxed);
-    if (expected == kBusy) {
-      park_on_state(state_, expected);
-      continue;
-    }
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  // Void must succeed from any state: wait out a busy window only.
+  publish(kEmpty, await_and_seize(kStable));
 }
 
 void HepCell::make_full(std::uint64_t value) {
-  for (;;) {
-    std::uint32_t expected = state_.load(std::memory_order_relaxed);
-    if (expected == kBusy) {
-      park_on_state(state_, expected);
-      continue;
-    }
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      break;
-    }
-  }
+  const std::uint32_t busy = await_and_seize(kStable);
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish(kFull, busy);
 }
 
 bool HepCell::try_produce(std::uint64_t value) {
-  std::uint32_t expected = kEmpty;
-  if (!state_.compare_exchange_strong(expected, kBusy,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-    return false;
-  }
+  const std::uint32_t busy = try_seize(kEmpty);
+  if (busy == 0) return false;
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish(kFull, busy);
   return true;
 }
 
 bool HepCell::try_consume(std::uint64_t* out) {
-  std::uint32_t expected = kFull;
-  if (!state_.compare_exchange_strong(expected, kBusy,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-    return false;
-  }
+  const std::uint32_t busy = try_seize(kFull);
+  if (busy == 0) return false;
   *out = value_;
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  publish(kEmpty, busy);
   return true;
 }
 
-void HepCell::publish_full() {
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
-}
-
-void HepCell::publish_empty() {
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
-}
-
-bool HepCell::try_seize_empty() {
-  std::uint32_t expected = kEmpty;
-  return state_.compare_exchange_strong(expected, kBusy,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
-bool HepCell::try_seize_full() {
-  std::uint32_t expected = kFull;
-  return state_.compare_exchange_strong(expected, kBusy,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
 bool HepCell::is_full() const {
-  return state_.load(std::memory_order_acquire) == kFull;
+  return (state_.load(std::memory_order_acquire) & kStateMask) == kFull;
 }
 
 std::uint64_t HepCell::total_waits() {

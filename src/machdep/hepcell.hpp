@@ -6,10 +6,21 @@
 // an asynchronous variable needs no extra locks, while every other machine
 // builds full/empty out of two locks.
 //
-// We emulate one tagged 64-bit cell with an atomic state word and C++20
-// atomic wait/notify (the moral equivalent of the hardware retry queue).
-// A transient BUSY state makes the value transfer atomic with the state
-// transition, exactly as the hardware made them a single memory operation.
+// We emulate one tagged 64-bit cell with an atomic state word. A transient
+// BUSY state makes the value transfer atomic with the state transition,
+// exactly as the hardware made them a single memory operation.
+//
+// The cell is address-free plain data: all-zero bytes are an empty cell,
+// and it works wherever it lives - on a thread's stack, in construct site
+// state, or in a MAP_SHARED mapping addressed by several fork(2) children.
+// A blocked access spins briefly, then parks on the state word with the
+// process-shared futex (shm::futex_wait) in bounded, poison-checked slices;
+// an N:M pooled member yields its worker instead. A parked waiter first
+// sets a mark bit in the state word, and a publish makes the wake syscall
+// only when it sees that bit, so an uncontended transfer makes none. Only
+// an empty or full word is marked: the seize carries the mark into the
+// busy word, and a waiter that finds the cell busy yields until the
+// owner's publish, which therefore needs no atomic read-modify-write.
 #pragma once
 
 #include <atomic>
@@ -56,12 +67,12 @@ class HepCell {
   /// Blocks until the cell is full, leaving it reserved (busy).
   void seize_full() { await_and_seize(kFull); }
   /// Ends a reservation, declaring the cell full.
-  void publish_full();
+  void publish_full() { publish(kFull, busy_word()); }
   /// Ends a reservation, declaring the cell empty.
-  void publish_empty();
+  void publish_empty() { publish(kEmpty, busy_word()); }
   /// Non-blocking seize; true on success (cell now busy).
-  bool try_seize_empty();
-  bool try_seize_full();
+  bool try_seize_empty() { return try_seize(kEmpty) != 0; }
+  bool try_seize_full() { return try_seize(kFull) != 0; }
 
   /// Total number of blocking waits across all cells (process-wide); a
   /// cheap proxy for how often the hardware retry queue would have engaged.
@@ -69,10 +80,33 @@ class HepCell {
   static void reset_wait_counter();
 
  private:
-  enum State : std::uint32_t { kEmpty = 0, kFull = 1, kBusy = 2 };
+  // The low two bits of the state word hold the access state; kWaiters
+  // marks that a waiter is (about to be) parked on the word.
+  static constexpr std::uint32_t kEmpty = 0;
+  static constexpr std::uint32_t kFull = 1;
+  static constexpr std::uint32_t kBusy = 2;
+  static constexpr std::uint32_t kStable = 3;  ///< "empty or full" (Void)
+  static constexpr std::uint32_t kStateMask = 3;
+  static constexpr std::uint32_t kWaiters = 4;
 
-  // Acquire the right to transition from `from`; parks on state_ otherwise.
-  void await_and_seize(State from);
+  /// Takes the cell from `from` (or from either stable state, for kStable)
+  /// to busy, waiting while it is elsewhere, and returns the busy word it
+  /// stored. The mark bit is kept, so the publish that ends the window
+  /// still wakes the parked waiters.
+  std::uint32_t await_and_seize(std::uint32_t from);
+  /// Non-blocking seize: the busy word stored, or 0 if the state forbids.
+  std::uint32_t try_seize(std::uint32_t from);
+  /// Marks the state word and sleeps one bounded futex slice on it, unless
+  /// the word has moved past `seen`.
+  void park(std::uint32_t seen);
+  /// The word of a seized cell. Waiters mark only empty or full words, so
+  /// it is the busy word the seize stored until the publish.
+  [[nodiscard]] std::uint32_t busy_word() const {
+    return state_.load(std::memory_order_relaxed);
+  }
+  /// Ends the busy window `busy` in state `to`, waking parked waiters if
+  /// it is marked.
+  void publish(std::uint32_t to, std::uint32_t busy);
 
   std::atomic<std::uint32_t> state_{kEmpty};
   std::uint64_t value_ = 0;  // guarded by the kBusy transition protocol

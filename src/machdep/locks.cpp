@@ -11,15 +11,6 @@ namespace force::machdep {
 
 namespace {
 
-/// One polite CPU pause inside a spin loop.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
 inline void bump(LockCounters* c, std::atomic<std::uint64_t> LockCounters::*f,
                  std::uint64_t n = 1) {
   if (c != nullptr) (c->*f).fetch_add(n, std::memory_order_relaxed);

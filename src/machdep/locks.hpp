@@ -155,6 +155,15 @@ const char* lock_kind_name(LockKind kind);
 /// Parses the names produced by lock_kind_name; throws on unknown input.
 LockKind lock_kind_from_name(const std::string& name);
 
+/// One polite CPU pause inside a spin loop.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
 /// Spin/backoff tuning shared by spin-flavoured locks.
 struct SpinPolicy {
   /// Spin iterations before the first yield to the OS.

@@ -185,102 +185,6 @@ void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
   }
 }
 
-// --- process-shared full/empty cell ----------------------------------------
-
-namespace {
-constexpr std::uint32_t kEmpty = 0;
-constexpr std::uint32_t kFull = 1;
-constexpr std::uint32_t kBusy = 2;
-
-/// CAS the cell from `from` to kBusy, waiting (bounded, poison-checked)
-/// while it holds any other value.
-void seize(ShmCellState& c, std::uint32_t from) {
-  for (;;) {
-    std::uint32_t s = from;
-    if (c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-      return;
-    }
-    check_poison();
-    futex_wait(&c.state, s);
-  }
-}
-
-void publish(ShmCellState& c, std::uint32_t to) {
-  c.state.store(to, std::memory_order_release);
-  futex_wake(&c.state, -1);
-}
-}  // namespace
-
-void shm_cell_produce(ShmCellState& c, void* payload, const void* src,
-                      std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kEmpty);
-  std::memcpy(payload, src, n);
-  publish(c, kFull);
-}
-
-void shm_cell_consume(ShmCellState& c, const void* payload, void* dst,
-                      std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kFull);
-  std::memcpy(dst, payload, n);
-  publish(c, kEmpty);
-}
-
-void shm_cell_copy(ShmCellState& c, const void* payload, void* dst,
-                   std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kFull);
-  std::memcpy(dst, payload, n);
-  publish(c, kFull);
-}
-
-bool shm_cell_try_produce(ShmCellState& c, void* payload, const void* src,
-                          std::size_t n) {
-  std::uint32_t s = kEmpty;
-  if (!c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-    return false;
-  }
-  std::memcpy(payload, src, n);
-  publish(c, kFull);
-  return true;
-}
-
-bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
-                          std::size_t n) {
-  std::uint32_t s = kFull;
-  if (!c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-    return false;
-  }
-  std::memcpy(dst, payload, n);
-  publish(c, kEmpty);
-  return true;
-}
-
-void shm_cell_void(ShmCellState& c) {
-  // Force the state to empty. A Void overlapping an in-flight access
-  // waits out the busy window, as on the original machines.
-  for (;;) {
-    std::uint32_t s = c.state.load(std::memory_order_acquire);
-    if (s == kEmpty) return;
-    if (s == kFull &&
-        c.state.compare_exchange_strong(s, kEmpty, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      futex_wake(&c.state, -1);
-      return;
-    }
-    check_poison();
-    futex_wait(&c.state, kBusy);
-  }
-}
-
-bool shm_cell_is_full(const ShmCellState& c) {
-  return c.state.load(std::memory_order_acquire) == kFull;
-}
-
 // --- process-shared askfor monitor -----------------------------------------
 
 std::size_t shm_askfor_bytes(std::uint32_t capacity, std::uint32_t stride) {

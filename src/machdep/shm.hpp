@@ -19,7 +19,9 @@
 //
 // All state structs are trivially destructible PODs so they can live in
 // the SharedArena (which reclaims storage as raw bytes) and be addressed
-// by name from every process.
+// by name from every process. Async variables need no struct here: they
+// are HEP cells (machdep/hepcell, which parks on the futex layer below) or
+// two ShmLocks over site state.
 //
 // AnonMapping, the demand-zero anonymous mapping under the arena, the
 // private segments and the fiber stacks, lives here too: its shared flavour
@@ -189,29 +191,6 @@ struct alignas(64) ShmBarrierState {
 void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
                         const std::function<void()>& section,
                         const char* label);
-
-// --- process-shared full/empty cell ----------------------------------------
-
-/// Full/empty state word of one async variable: 0 = empty, 1 = full,
-/// 2 = busy (a producer or consumer owns the payload window). The payload
-/// itself lies immediately after the state in the arena blob; all
-/// transfers are memcpy of trivially copyable bytes.
-struct alignas(64) ShmCellState {
-  std::atomic<std::uint32_t> state{0};
-};
-
-void shm_cell_produce(ShmCellState& c, void* payload, const void* src,
-                      std::size_t n, const char* label);
-void shm_cell_consume(ShmCellState& c, const void* payload, void* dst,
-                      std::size_t n, const char* label);
-void shm_cell_copy(ShmCellState& c, const void* payload, void* dst,
-                   std::size_t n, const char* label);
-bool shm_cell_try_produce(ShmCellState& c, void* payload, const void* src,
-                          std::size_t n);
-bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
-                          std::size_t n);
-void shm_cell_void(ShmCellState& c);
-[[nodiscard]] bool shm_cell_is_full(const ShmCellState& c);
 
 // --- process-shared askfor monitor -----------------------------------------
 

@@ -40,10 +40,12 @@ int construct_suite(force::Force& f) {
     ctx.critical(FORCE_SITE, [&] { presched_sum += local; });
     ctx.barrier();
 
-    // 3. pcase
+    // 3. pcase: both sections count under one critical site (one lock),
+    // since two sites would guard the one variable with two locks
+    const fc::Site hits_site = FORCE_SITE;
     ctx.pcase(FORCE_SITE)
-        .sect([&] { ctx.critical(FORCE_SITE, [&] { ++pcase_hits; }); })
-        .sect([&] { ctx.critical(FORCE_SITE, [&] { ++pcase_hits; }); })
+        .sect([&] { ctx.critical(hits_site, [&] { ++pcase_hits; }); })
+        .sect([&] { ctx.critical(hits_site, [&] { ++pcase_hits; }); })
         .sect_if(false, [&] { pcase_hits += 100; })
         .run_selfsched();
     ctx.barrier();

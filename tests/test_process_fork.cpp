@@ -15,11 +15,17 @@
 #include <csignal>
 #include <cstdint>
 #include <string>
+#include <new>
 #include <thread>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/force.hpp"
 #include "core/privatevar.hpp"
+#include "machdep/hepcell.hpp"
 #include "machdep/process.hpp"
+#include "machdep/shm.hpp"
 #include "resident.hpp"
 #include "util/check.hpp"
 
@@ -170,6 +176,110 @@ TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
     EXPECT_EQ(results[p], 108) << "critical, process " << p;
     EXPECT_EQ(results[kNproc + p], results[p]) << "tournament, process " << p;
   }
+}
+
+// Async variables run the core code under os-fork too, so the scheme
+// follows the machine as on threads: a two-lock machine keys the
+// variable's E and F lock words in the arena, the HEP keeps one tagged
+// cell in site state and allocates no lock. Either way the values cross
+// between the processes.
+TEST(ForkBackend, AsyncSchemeFollowsMachine) {
+  constexpr int kRounds = 25;
+  struct Case {
+    const char* machine;
+    bool hardware;
+  };
+  for (const Case& c : {Case{"native", false}, Case{"sequent", false},
+                        Case{"hep", true}}) {
+    force::ForceConfig cfg = fork_config();
+    cfg.machine = c.machine;
+    force::Force f(cfg);
+    auto& hardware = f.shared<std::array<std::int64_t, kNproc>>("hardware");
+    auto& final_token = f.shared<std::int64_t>("final_token");
+    const core::Site site = FORCE_SITE;
+    f.run([&](core::Ctx& ctx) {
+      auto& token = ctx.async_var<std::int64_t>(site);
+      hardware[static_cast<std::size_t>(ctx.me0())] =
+          token.uses_hardware_path() ? 1 : 0;
+      // One token passes between all processes: every pass is a consume
+      // in one address space of a value produced in another.
+      if (ctx.me() == 1) token.produce(0);
+      for (int r = 0; r < kRounds; ++r) token.produce(token.consume() + 1);
+      ctx.barrier();
+      if (ctx.me() == 1) final_token = token.consume();
+    });
+    EXPECT_EQ(final_token, kNproc * kRounds) << c.machine;
+    for (int p = 0; p < kNproc; ++p) {
+      EXPECT_EQ(hardware[static_cast<std::size_t>(p)], c.hardware ? 1 : 0)
+          << c.machine << " proc " << p;
+    }
+    const std::string label = "async@" + site.key();
+    bool lock_e = false;
+    bool lock_f = false;
+    bool any_lock = false;
+    bool engine_blob = false;
+    f.env().arena().for_each_allocation(
+        [&](const std::string& name, void*, std::size_t) {
+          lock_e = lock_e || name == "%lock/" + label + ".E";
+          lock_f = lock_f || name == "%lock/" + label + ".F";
+          any_lock = any_lock || name.rfind("%lock/" + label, 0) == 0;
+          engine_blob = engine_blob || name.rfind("%async/", 0) == 0;
+        });
+    EXPECT_FALSE(engine_blob) << c.machine;
+    EXPECT_EQ(lock_e, !c.hardware) << c.machine;
+    EXPECT_EQ(lock_f, !c.hardware) << c.machine;
+    EXPECT_EQ(any_lock, !c.hardware) << c.machine;
+  }
+}
+
+// A two-lock os-fork async variable takes four arena names (its E, F and
+// Void lock words and its site state), so the arena's name table must
+// still hold a 1000-cell async array.
+TEST(ForkBackend, ThousandCellAsyncArrayRoundTrips) {
+  constexpr std::size_t kCells = 1000;
+  force::Force f(fork_config());
+  auto& sum = f.shared<std::int64_t>("sum");
+  f.run([&](core::Ctx& ctx) {
+    auto& cells = ctx.async_array<std::int64_t>(FORCE_SITE, kCells);
+    if (ctx.me() == 1) {
+      for (std::size_t i = 0; i < kCells; ++i) {
+        cells[i].produce(static_cast<std::int64_t>(i) + 1);
+      }
+    } else if (ctx.me() == 2) {
+      std::int64_t acc = 0;
+      for (std::size_t i = 0; i < kCells; ++i) acc += cells[i].consume();
+      sum = acc;
+    }
+  });
+  EXPECT_EQ(sum, static_cast<std::int64_t>(kCells * (kCells + 1) / 2));
+}
+
+// The HEP cell is address-free: placed in a MAP_SHARED mapping it hands
+// words between a parent and its fork(2) child, each side parking on the
+// process-shared futex until the other side's publish wakes it.
+TEST(HepCellAcrossFork, ForkedChildConsumesWhatTheParentProduces) {
+  md::shm::AnonMapping shared(2 * sizeof(md::HepCell),
+                              md::shm::AnonMapping::Sharing::kShared);
+  auto* to_child = ::new (shared.data()) md::HepCell;
+  auto* to_parent = ::new (shared.data() + sizeof(md::HepCell)) md::HepCell;
+  constexpr std::uint64_t kRounds = 40;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+      to_parent->produce(2 * to_child->consume());
+    }
+    _exit(0);
+  }
+  for (std::uint64_t i = 1; i <= kRounds; ++i) {
+    // Every few rounds the child has long been parked when the word comes.
+    if (i % 8 == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    to_child->produce(i);
+    EXPECT_EQ(to_parent->consume(), 2 * i);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 // --- privates and memory: fork(2) does the copying -------------------------

@@ -127,26 +127,45 @@ TEST(Resolve, ComponentBarriersAreComponentLocal) {
 }
 
 TEST(Resolve, NestedConstructsInsideComponents) {
-  // A selfsched loop inside each component: the site namespace must keep
-  // the two components' loop state disjoint even though the source line
-  // is the same.
-  force::Force f({.nproc = 6});
-  auto& sum_a = f.shared<std::int64_t>("sum_a");
-  auto& sum_b = f.shared<std::int64_t>("sum_b");
-  f.run([&](fc::Ctx& ctx) {
-    auto work = [&](fc::Ctx& sub, std::int64_t& acc) {
-      std::int64_t local = 0;
-      sub.selfsched_do(FORCE_SITE, 1, 100, 1,
-                       [&](std::int64_t i) { local += i; });
-      sub.critical(FORCE_SITE, [&] { acc += local; });
-    };
-    ctx.resolve(FORCE_SITE)
-        .component("a", 1, [&](fc::Ctx& sub) { work(sub, sum_a); })
-        .component("b", 1, [&](fc::Ctx& sub) { work(sub, sum_b); })
-        .run();
-  });
-  EXPECT_EQ(sum_a, 5050);
-  EXPECT_EQ(sum_b, 5050);
+  // A selfsched loop and an async variable inside each component: the
+  // site namespace must keep the two components' loop state and cells
+  // disjoint even though the source lines are the same. Each component
+  // hands a tagged value through its cell, so a cell shared between the
+  // components would deliver the other component's tag.
+  for (const char* machine : {"native", "hep"}) {
+    force::Force f({.nproc = 6, .machine = machine});
+    auto& sum_a = f.shared<std::int64_t>("sum_a");
+    auto& sum_b = f.shared<std::int64_t>("sum_b");
+    auto& got_a = f.shared<std::int64_t>("got_a");
+    auto& got_b = f.shared<std::int64_t>("got_b");
+    constexpr int kHandoffs = 50;
+    f.run([&](fc::Ctx& ctx) {
+      auto work = [&](fc::Ctx& sub, std::int64_t& acc, std::int64_t& got,
+                      std::int64_t tag) {
+        std::int64_t local = 0;
+        sub.selfsched_do(FORCE_SITE, 1, 100, 1,
+                         [&](std::int64_t i) { local += i; });
+        sub.critical(FORCE_SITE, [&] { acc += local; });
+        auto& cell = sub.async_var<std::int64_t>(FORCE_SITE);
+        if (sub.me() == 1) {
+          for (int i = 0; i < kHandoffs; ++i) cell.produce(tag);
+        } else if (sub.me() == 2) {
+          std::int64_t seen = 0;
+          for (int i = 0; i < kHandoffs; ++i) seen += cell.consume();
+          got = seen;
+        }
+      };
+      ctx.resolve(FORCE_SITE)
+          .component("a", 1, [&](fc::Ctx& sub) { work(sub, sum_a, got_a, 1); })
+          .component("b", 1,
+                     [&](fc::Ctx& sub) { work(sub, sum_b, got_b, 1000); })
+          .run();
+    });
+    EXPECT_EQ(sum_a, 5050) << machine;
+    EXPECT_EQ(sum_b, 5050) << machine;
+    EXPECT_EQ(got_a, kHandoffs * 1) << machine;
+    EXPECT_EQ(got_b, kHandoffs * 1000) << machine;
+  }
 }
 
 TEST(Resolve, JoinsBeforeContinuing) {

@@ -24,7 +24,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "core/force.hpp"
 #include "core/sentry.hpp"
@@ -314,49 +316,99 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
 // inside a selfsched DOALL body the entry gates and arrival counter are
 // wedged (BARWIN held, the survivors' departures never reach zero), and
 // before a reduction the accumulator count and the barrier's arrival count
-// hold the survivors' contributions. The death scrub resets all of it by
-// name prefix, so the next run of the same program on a re-forked team
-// completes and matches the sequential result.
+// hold the survivors' contributions. A death while a sibling is parked in
+// consume() leaves the other producers' async cells full with values of
+// the dead run - E/F lock words on a two-lock machine, tagged cells in site
+// state on the HEP. The death scrub resets all of it by name prefix (every
+// async cell restarts empty), so the next run of the same program on a
+// re-forked team completes and matches the sequential result.
 TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
-  force::Force f(fork_pool_config());
-  auto& kill_at = f.shared<std::int64_t>("kill_at");
-  auto& total = f.shared<std::int64_t>("total");
   constexpr std::int64_t kTrips = 200;
   constexpr std::int64_t kSequential = kTrips * (kTrips + 1) / 2;
-  enum : std::int64_t { kNoKill = 0, kInDoallBody = 1, kBeforeReduce = 2 };
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto program = [&](core::Ctx& ctx) {
-    std::int64_t mine = 0;
-    ctx.selfsched_do(FORCE_SITE, 1, kTrips, 1, [&](std::int64_t i) {
-      // Whoever draws the middle trip dies holding a claimed chunk.
-      if (kill_at == kInDoallBody && i == kTrips / 2) raise(SIGKILL);
-      mine += i;
-    });
-    if (kill_at == kBeforeReduce && ctx.me() == 3) raise(SIGKILL);
-    ctx.reduce_into<std::int64_t>(FORCE_SITE, mine, total,
-                                  [](std::int64_t a, std::int64_t b) {
-                                    return a + b;
-                                  });
-    ctx.barrier();
+  // Handed-over values carry their run's number above this tag, so a value
+  // left over from an earlier run cannot pass for a current one.
+  constexpr std::int64_t kRunTag = std::int64_t{1} << 32;
+  enum : std::int64_t {
+    kNoKill = 0,
+    kInDoallBody = 1,
+    kBeforeReduce = 2,
+    kWhileConsumerParked = 3
   };
+  struct Case {
+    const char* machine;
+    std::vector<std::int64_t> victim_sites;
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const Case& c :
+       {Case{"native", {kInDoallBody, kBeforeReduce, kWhileConsumerParked}},
+        Case{"hep", {kWhileConsumerParked}}}) {
+    force::ForceConfig cfg = fork_pool_config();
+    cfg.machine = c.machine;
+    force::Force f(cfg);
+    auto& kill_at = f.shared<std::int64_t>("kill_at");
+    auto& run = f.shared<std::int64_t>("run");
+    auto& total = f.shared<std::int64_t>("total");
+    auto& handed = f.shared<std::int64_t>("handed");
+    const auto program = [&](core::Ctx& ctx) {
+      std::int64_t mine = 0;
+      ctx.selfsched_do(FORCE_SITE, 1, kTrips, 1, [&](std::int64_t i) {
+        // Whoever draws the middle trip dies holding a claimed chunk.
+        if (kill_at == kInDoallBody && i == kTrips / 2) raise(SIGKILL);
+        mine += i;
+      });
+      if (kill_at == kBeforeReduce && ctx.me() == 3) raise(SIGKILL);
+      ctx.reduce_into<std::int64_t>(FORCE_SITE, mine, total,
+                                    [](std::int64_t a, std::int64_t b) {
+                                      return a + b;
+                                    });
+      // Process p > 1 hands its partial sum to process 1 in cell p - 2.
+      auto& cells = ctx.async_array<std::int64_t>(FORCE_SITE, kNproc - 1);
+      if (ctx.me() == 1) {
+        std::int64_t sum = mine;
+        for (std::size_t i = 0; i + 1 < kNproc; ++i) {
+          sum += cells[i].consume() - run * kRunTag;
+        }
+        handed = sum;
+      } else {
+        if (kill_at == kWhileConsumerParked && ctx.me() == 2) {
+          // Process 1 is parked in its first consume() by now.
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          raise(SIGKILL);
+        }
+        cells[static_cast<std::size_t>(ctx.me() - 2)].produce(run * kRunTag +
+                                                              mine);
+      }
+      ctx.barrier();
+    };
 
-  for (const std::int64_t victim_site : {kInDoallBody, kBeforeReduce}) {
-    kill_at = kNoKill;
-    total = 0;
-    f.run(program);
-    EXPECT_EQ(total, kSequential) << "clean run before site " << victim_site;
+    for (const std::int64_t victim_site : c.victim_sites) {
+      kill_at = kNoKill;
+      total = 0;
+      handed = 0;
+      ++run;
+      f.run(program);
+      EXPECT_EQ(total, kSequential)
+          << c.machine << ": clean run before site " << victim_site;
+      EXPECT_EQ(handed, kSequential)
+          << c.machine << ": clean run before site " << victim_site;
 
-    kill_at = victim_site;
-    EXPECT_THROW(f.run(program), md::ProcessDeathError)
-        << "site " << victim_site;
-    EXPECT_FALSE(f.env().fork_pool(kNproc).armed());
+      kill_at = victim_site;
+      ++run;
+      EXPECT_THROW(f.run(program), md::ProcessDeathError)
+          << c.machine << ": site " << victim_site;
+      EXPECT_FALSE(f.env().fork_pool(kNproc).armed());
 
-    kill_at = kNoKill;
-    total = 0;
-    f.run(program);
-    EXPECT_EQ(total, kSequential) << "run after a death at site "
-                                  << victim_site;
-    EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
+      kill_at = kNoKill;
+      total = 0;
+      handed = 0;
+      ++run;
+      f.run(program);
+      EXPECT_EQ(total, kSequential)
+          << c.machine << ": run after a death at site " << victim_site;
+      EXPECT_EQ(handed, kSequential)
+          << c.machine << ": run after a death at site " << victim_site;
+      EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
+    }
   }
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
 }
