@@ -53,9 +53,16 @@ BENCHMARK(BM_HepCellPingPong)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_TwoLockPingPong)->Unit(benchmark::kNanosecond);
 
 int main(int argc, char** argv) {
-  force::util::CliParser cli;
+  static force::util::CliParser cli;  // static: read by the help printer
+  static const char* const program = argv[0];
   cli.option("ops", "20000", "transfers per measurement")
       .option("stages", "4", "pipeline stages");
+  // Strips the --benchmark_* flags first, so the CLI parser sees only its
+  // own options. Initialize answers --help itself, so its help lists both.
+  ::benchmark::Initialize(&argc, argv, [] {
+    std::fputs(cli.usage(program).c_str(), stdout);
+    ::benchmark::PrintDefaultHelp();
+  });
   if (!cli.parse(argc, argv)) return 0;
   const auto ops = cli.get_int("ops");
   const int stages = static_cast<int>(cli.get_int("stages"));
@@ -143,7 +150,6 @@ int main(int argc, char** argv) {
       "consume - the two-lock scheme, with cost set by its lock "
       "mechanism.\n\n");
 
-  ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

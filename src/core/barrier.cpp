@@ -1,7 +1,6 @@
 #include "core/barrier.hpp"
 
 #include <bit>
-#include <thread>
 
 #include "core/env.hpp"
 #include "util/check.hpp"
@@ -64,33 +63,31 @@ void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
 // CentralSenseBarrier
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr std::size_t kSenseStride = 16;  // 64B per process slot
-}
-
-CentralSenseBarrier::CentralSenseBarrier(int width)
-    : width_(width),
-      count_(0),
-      local_sense_(static_cast<std::size_t>(width) * kSenseStride, 0) {
+CentralSenseBarrier::CentralSenseBarrier(ForceEnvironment& env, int width,
+                                         const std::string& key)
+    : width_(width) {
   FORCE_CHECK(width_ > 0, "barrier width must be positive");
+  const std::string site = key.empty() ? env.anonymous_site_key() : key;
+  state_ = &env.site_state<State>("barrier/" + site);
+  label_ = "barrier '" + site + "'";
 }
 
 void CentralSenseBarrier::arrive(int proc0,
                                  const std::function<void()>& section) {
   FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
-  std::uint32_t& mine =
-      local_sense_[static_cast<std::size_t>(proc0) * kSenseStride];
-  mine ^= 1u;
-  if (count_.fetch_add(1, std::memory_order_acq_rel) == width_ - 1) {
-    // Champion: everyone else has arrived and is (or will be) waiting on
-    // the sense word; safe to run the section and flip.
-    count_.store(0, std::memory_order_relaxed);
+  State& st = *state_;
+  // Read before counting in: this episode cannot end without this arrival.
+  const std::uint32_t ep = st.episode.load();
+  if (st.count.fetch_add(1, std::memory_order_acq_rel) ==
+      static_cast<std::uint32_t>(width_ - 1)) {
+    // Champion. The episode store publishes the count reset: a process
+    // re-arriving must first see episode != ep.
     run_section(section);
-    sense_.store(mine, std::memory_order_release);
-    sense_.notify_all();
+    st.count.store(0, std::memory_order_relaxed);
+    st.episode.store(ep + 1);
   } else {
-    const std::uint32_t want = mine;
-    wait_until(sense_, [want](std::uint32_t v) { return v == want; });
+    st.episode.wait_until([ep](std::uint32_t v) { return v != ep; },
+                          label_.c_str());
   }
 }
 
@@ -108,30 +105,27 @@ TreeBarrier::TreeBarrier(int width) : width_(width), slots_(width) {
 void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
   FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
   Slot& me = slots_[static_cast<std::size_t>(proc0)];
-  const std::uint64_t ep = ++me.episode;
+  const std::uint32_t ep = ++me.episode;
 
   for (int r = 0; (1 << r) < width_; ++r) {
     const int span = 1 << (r + 1);
     if (proc0 % span == 0) {
       const int child = proc0 + (1 << r);
       if (child < width_) {
-        wait_until(slots_[static_cast<std::size_t>(child)].arrival,
-                   [ep](std::uint64_t v) { return v >= ep; });
+        slots_[static_cast<std::size_t>(child)].arrival.wait_episode(ep);
       }
     } else {
       // Subtree fully combined (rounds 0..r-1 won); report and stop.
-      me.arrival.store(ep, std::memory_order_release);
-      me.arrival.notify_all();
+      me.arrival.store(ep);
       break;
     }
   }
 
   if (proc0 == 0) {
     run_section(section);
-    release_.store(ep, std::memory_order_release);
-    release_.notify_all();
+    release_.store(ep);
   } else {
-    wait_until(release_, [ep](std::uint64_t v) { return v >= ep; });
+    release_.wait_episode(ep);
   }
 }
 
@@ -152,28 +146,26 @@ DisseminationBarrier::DisseminationBarrier(int width)
 void DisseminationBarrier::arrive(int proc0,
                                   const std::function<void()>& section) {
   FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
-  const std::uint64_t ep = ++episode_[static_cast<std::size_t>(proc0)].value;
+  const std::uint32_t ep = ++episode_[static_cast<std::size_t>(proc0)].value;
   const auto stride = static_cast<std::size_t>(rounds_ == 0 ? 1 : rounds_);
 
   for (int r = 0; r < rounds_; ++r) {
     const int dest = (proc0 + (1 << r)) % width_;
-    Flag& out = flags_[static_cast<std::size_t>(dest) * stride +
-                       static_cast<std::size_t>(r)];
-    out.stamp.store(ep, std::memory_order_release);
-    out.stamp.notify_all();
-    Flag& in = flags_[static_cast<std::size_t>(proc0) * stride +
-                      static_cast<std::size_t>(r)];
-    wait_until(in.stamp, [ep](std::uint64_t v) { return v >= ep; });
+    flags_[static_cast<std::size_t>(dest) * stride +
+           static_cast<std::size_t>(r)]
+        .store(ep);
+    flags_[static_cast<std::size_t>(proc0) * stride +
+           static_cast<std::size_t>(r)]
+        .wait_episode(ep);
   }
 
   if (has_section(section)) {
     // No natural champion: rank 0 runs the section behind one extra flag.
     if (proc0 == 0) {
       section();
-      section_done_.store(ep, std::memory_order_release);
-      section_done_.notify_all();
+      section_done_.store(ep);
     } else {
-      wait_until(section_done_, [ep](std::uint64_t v) { return v >= ep; });
+      section_done_.wait_episode(ep);
     }
   }
 }
@@ -203,11 +195,12 @@ std::vector<std::string> barrier_algorithm_names() {
 }
 
 std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
-    const std::string& name, ForceEnvironment& env, int width) {
+    const std::string& name, ForceEnvironment& env, int width,
+    const std::string& key) {
   if (name == "paper-lock")
     return std::make_unique<PaperLockBarrier>(env, width);
   if (name == "central-sense")
-    return std::make_unique<CentralSenseBarrier>(width);
+    return std::make_unique<CentralSenseBarrier>(env, width, key);
   if (name == "tree") return std::make_unique<TreeBarrier>(width);
   if (name == "dissemination")
     return std::make_unique<DisseminationBarrier>(width);

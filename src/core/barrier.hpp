@@ -10,13 +10,16 @@
 //
 //   * paper-lock    - built from generic Force locks only (two turnstiles
 //                     and a counter), the shape a lock-only machine uses;
-//   * central-sense - one atomic counter + sense reversal;
-//   * tree          - binary combining tree arrival, sense-reversed release;
+//   * central-sense - one arrival counter + an episode word as the sense;
+//   * tree          - binary combining tree arrival, episode-stamped release;
 //   * dissemination - log2(P) rounds of pairwise signalling (no natural
 //                     champion, so the section costs one extra mini-phase).
 //
 // All algorithms implement the same interface and all support sections, so
-// bench E2 can sweep them under identical workloads.
+// bench E2 can sweep them under identical workloads. Every wait is on a
+// machdep::WaitWord. central-sense keeps its words in site state, so it is
+// also the barrier of every site under os-fork (name observers see
+// "central-sense" there); the cluster backend brings its own engine.
 #pragma once
 
 #include <atomic>
@@ -27,36 +30,12 @@
 #include <vector>
 
 #include "machdep/backend.hpp"
-#include "machdep/fiber.hpp"
 #include "machdep/locks.hpp"
+#include "machdep/waitword.hpp"
 
 namespace force::core {
 
 class ForceEnvironment;
-
-/// The in-process wait on an atomic until `pred(value)` holds: a short
-/// spin, then the C++20 futex-style wait, so waiters stay live with more
-/// processes than CPUs. An N:M pooled member must not sleep in the kernel
-/// instead: the store it waits for may belong to a sibling member
-/// multiplexed onto the same worker thread, so it yields its continuation
-/// and lets the worker run the sibling. Storers must notify_all().
-template <typename T, typename Pred>
-void wait_until(const std::atomic<T>& a, Pred pred) {
-  for (int probe = 0; probe < 64; ++probe) {
-    if (pred(a.load(std::memory_order_acquire))) return;
-  }
-  if (machdep::on_fiber()) {
-    while (!pred(a.load(std::memory_order_acquire))) {
-      machdep::member_yield();
-    }
-    return;
-  }
-  for (;;) {
-    const T v = a.load(std::memory_order_acquire);
-    if (pred(v)) return;
-    a.wait(v, std::memory_order_relaxed);
-  }
-}
 
 /// A reusable barrier over a fixed set of `width` processes (0-based ids).
 class BarrierAlgorithm {
@@ -107,20 +86,30 @@ class PaperLockBarrier final : public BarrierAlgorithm {
   std::unique_ptr<machdep::BasicLock> turnstile2_;  // starts unlocked
 };
 
-/// Central counter with sense reversal; the classic shared-memory barrier.
+/// The episode barrier: the width-th arrival runs the section, resets the
+/// count and bumps the episode the others wait on, so no process keeps a
+/// local sense. Both words are site state ("barrier/<key>"): the barrier
+/// spans os-fork children, and a death scrub re-arms it.
 class CentralSenseBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;
-  explicit CentralSenseBarrier(int width);
+  /// An empty `key` makes an anonymous site.
+  CentralSenseBarrier(ForceEnvironment& env, int width,
+                      const std::string& key);
   void arrive(int proc0, const std::function<void()>& section) override;
   const char* name() const override { return "central-sense"; }
   int width() const override { return width_; }
 
+  /// The barrier's shared words; all-zero is a fresh barrier.
+  struct State {
+    alignas(64) std::atomic<std::uint32_t> count{0};
+    alignas(64) machdep::WaitWord episode;
+  };
+
  private:
   int width_;
-  std::atomic<int> count_;
-  std::atomic<std::uint32_t> sense_{0};
-  std::vector<std::uint32_t> local_sense_;  // one slot per process, padded
+  State* state_;
+  std::string label_;  // last-known site of a parked os-fork process
 };
 
 /// Binary combining tree: arrivals propagate up; the root (champion) runs
@@ -137,12 +126,12 @@ class TreeBarrier final : public BarrierAlgorithm {
   // One cache line per process: its arrival stamp (read by the parent in
   // the combining tree) and its private episode counter.
   struct alignas(64) Slot {
-    std::atomic<std::uint64_t> arrival{0};
-    std::uint64_t episode = 0;
+    machdep::WaitWord arrival;
+    std::uint32_t episode = 0;
   };
   int width_;
   std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> release_{0};
+  machdep::WaitWord release_;
 };
 
 /// Dissemination barrier: ceil(log2 P) rounds; process i signals
@@ -157,24 +146,21 @@ class DisseminationBarrier final : public BarrierAlgorithm {
   int width() const override { return width_; }
 
  private:
-  struct alignas(64) Flag {
-    std::atomic<std::uint64_t> stamp{0};
-  };
+  struct alignas(64) Flag : machdep::WaitWord {};
   struct alignas(64) Episode {
-    std::uint64_t value = 0;
+    std::uint32_t value = 0;
   };
   int width_;
   int rounds_;
   std::vector<Flag> flags_;  // flags_[proc * rounds_ + round], episode-stamped
   std::vector<Episode> episode_;  // per-process episode counter
-  std::atomic<std::uint64_t> section_done_{0};
+  machdep::WaitWord section_done_;
 };
 
-/// Adapter over the selected backend's keyed BarrierEngine - the barrier
-/// that spans separate address spaces (futex words in the MAP_SHARED arena
-/// under os-fork; coordinator RPCs under cluster). Core never names the
-/// substrate: ForceEnvironment::make_site_barrier asks the backend for an
-/// engine and wraps it here.
+/// Adapter over the backend's keyed BarrierEngine - the cluster's
+/// coordinator barrier, for a backend with no shared memory. Core never
+/// names the substrate: ForceEnvironment::make_site_barrier asks the
+/// backend for an engine and wraps it here.
 class EngineBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;
@@ -191,8 +177,10 @@ class EngineBarrier final : public BarrierAlgorithm {
 /// Names accepted by make_barrier / ForceConfig::barrier_algorithm.
 std::vector<std::string> barrier_algorithm_names();
 
-/// Factory; throws on unknown names.
+/// Factory; throws on unknown names. `key` is the site of central-sense's
+/// state (empty = anonymous).
 std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
-    const std::string& name, ForceEnvironment& env, int width);
+    const std::string& name, ForceEnvironment& env, int width,
+    const std::string& key = "");
 
 }  // namespace force::core

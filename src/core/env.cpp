@@ -235,8 +235,14 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_site_barrier(
     int width, const std::string& key) {
   std::unique_ptr<machdep::BarrierEngine> engine =
       backend_->make_team_barrier(width, key);
-  if (engine == nullptr) return make_barrier(width);
-  return std::make_unique<EngineBarrier>(width, std::move(engine));
+  if (engine != nullptr) {
+    return std::make_unique<EngineBarrier>(width, std::move(engine));
+  }
+  return make_barrier_algorithm(
+      supports(machdep::Capability::kThreadBarrierAlgorithms)
+          ? config_.barrier_algorithm
+          : "central-sense",
+      *this, width, key);
 }
 
 util::Xoshiro256 ForceEnvironment::rng_for(int proc0) const {

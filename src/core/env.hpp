@@ -238,14 +238,14 @@ class ForceEnvironment {
 
   /// Scrubs the process-shared synchronization state in the arena after
   /// a pooled team died mid-protocol, by name prefix and without knowing
-  /// any construct's layout: site state (DOALL gates, reductions, async
-  /// cells, the run generation) zeroed, lock words back to their declared
-  /// initial state, barrier arrival counts zeroed, askfor rings
-  /// re-initialized. A poisoned team leaves this state wherever the
-  /// victims stood, so the fresh team the next run forks must not inherit
-  /// it. Every async variable restarts empty, even one a finished producer
-  /// had left full; shared variables are untouched. os-fork only; called
-  /// with no team alive (between pool retirement and respawn).
+  /// any construct's layout: site state (barriers, DOALL gates,
+  /// reductions, async cells, the run generation) zeroed, lock words back
+  /// to their declared initial state, askfor rings re-initialized. A
+  /// poisoned team leaves this state wherever the victims stood, so the
+  /// fresh team the next run forks must not inherit it. Every async
+  /// variable restarts empty, even one a finished producer had left full;
+  /// shared variables are untouched. os-fork only; called with no team
+  /// alive (between pool retirement and respawn).
   void reset_shared_sync_after_death();
 
   /// Force-entry generation: bumped once at the top of every Force::run,
@@ -269,10 +269,11 @@ class ForceEnvironment {
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
 
-  /// Barrier for `width` processes at construct key `key`: the backend's
-  /// keyed engine where it has one (the only barriers that span os-fork or
-  /// cluster processes; every process that resolves the same key meets at
-  /// the same state), otherwise the configured algorithm.
+  /// Barrier for `width` processes at construct key `key`; every process
+  /// that resolves the same key meets at the same state. The backend's
+  /// keyed engine where it has one (cluster); the configured algorithm
+  /// where named algorithms run (threads); otherwise the central-sense
+  /// episode barrier over site state (os-fork).
   std::unique_ptr<BarrierAlgorithm> make_site_barrier(int width,
                                                       const std::string& key);
 

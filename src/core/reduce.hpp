@@ -17,13 +17,12 @@
 //
 // The accumulator lives in site state and the lock and barrier come from
 // the environment, so kCritical runs unchanged under threads and os-fork.
-// kTournament's slots wait with in-process atomic waits, so it runs only
-// where thread barrier algorithms do; elsewhere a request for it runs the
+// kTournament's slots live in process memory, so it runs only where
+// thread barrier algorithms do; elsewhere a request for it runs the
 // critical idiom. Only the cluster backend, which has no shared memory,
 // reduces through a coordinator engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,6 +34,7 @@
 #include "core/critical.hpp"
 #include "core/env.hpp"
 #include "machdep/backend.hpp"
+#include "machdep/waitword.hpp"
 
 namespace force::core {
 
@@ -142,8 +142,7 @@ class Reduction {
                          T* shared_target) {
     Slot& mine = slots_[static_cast<std::size_t>(me0)];
     mine.value = local;
-    const std::uint64_t ep = ++mine.episode;
-    const auto reached = [ep](std::uint64_t v) { return v >= ep; };
+    const std::uint32_t ep = ++mine.episode;
     // Combine along the same pairwise schedule as TreeBarrier: rank p
     // collects rank p + 2^r while p is a multiple of 2^(r+1).
     for (int r = 0; (1 << r) < width_; ++r) {
@@ -154,24 +153,22 @@ class Reduction {
           Slot& theirs = slots_[static_cast<std::size_t>(child)];
           // Wait for the child to have *fully combined its subtree* for
           // this episode: it bumps `combined` after losing round r.
-          wait_until(theirs.combined, reached);
+          theirs.combined.wait_episode(ep);
           mine.value = combine(mine.value, theirs.value);
         }
       } else {
-        mine.combined.store(ep, std::memory_order_release);
-        mine.combined.notify_all();
+        mine.combined.store(ep);
         break;
       }
     }
     if (me0 == 0) {
-      mine.combined.store(ep, std::memory_order_release);
+      mine.combined.store(ep);
       state_->result = mine.value;
       // Single-writer point: the champion holds the only complete value.
       if (shared_target != nullptr) *shared_target = state_->result;
-      broadcast_.store(ep, std::memory_order_release);
-      broadcast_.notify_all();
+      broadcast_.store(ep);
     } else {
-      wait_until(broadcast_, reached);
+      broadcast_.wait_episode(ep);
     }
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
@@ -181,8 +178,8 @@ class Reduction {
 
   struct alignas(64) Slot {
     T value{};
-    std::uint64_t episode = 0;
-    std::atomic<std::uint64_t> combined{0};
+    std::uint32_t episode = 0;
+    machdep::WaitWord combined;
   };
 
   int width_;
@@ -195,7 +192,7 @@ class Reduction {
   std::unique_ptr<BarrierAlgorithm> barrier_;
   /// kTournament's per-process slots; empty where it cannot run.
   std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> broadcast_{0};
+  machdep::WaitWord broadcast_;
 };
 
 }  // namespace force::core

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <type_traits>
 
 #include "util/check.hpp"
@@ -32,8 +33,9 @@ shm::AnonMapping zeroed_segment(std::size_t bytes) {
 // lazily allocated by one child is visible - at the same offset - to all.
 
 // Entries carry no initializers: the header is constructed without touching
-// the 4096-entry table (about 184 pages of an already-zero mapping), and
-// shm_add_locked writes every field before entry_count publishes an entry.
+// the 4096-entry table (about 184 pages of an already-zero mapping) or its
+// hash index, and shm_add_locked writes every field before the index
+// publishes an entry.
 struct ShmArenaEntry {
   char name[152];
   std::uint64_t offset;
@@ -54,7 +56,28 @@ struct ShmArenaHeader {
   std::uint64_t padding_bytes = 0;
   static constexpr std::size_t kMaxEntries = 4096;
   ShmArenaEntry entries[kMaxEntries];
+  /// Open-addressed (linear-probe) hash index over `entries`: a slot holds
+  /// an entry index + 1, 0 is empty, so the zero pages are an empty index.
+  /// Append-only like the table, and at most half full, so probes stay
+  /// short and always end.
+  static constexpr std::size_t kIndexSlots = 2 * kMaxEntries;
+  std::uint32_t index[kIndexSlots];
 };
+
+namespace {
+/// FNV-1a: the arena index's hash of a name.
+std::size_t index_slot(std::string_view name) {
+  std::uint32_t h = 2166136261u;
+  for (const char c : name) {
+    h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+  }
+  return h & (ShmArenaHeader::kIndexSlots - 1);
+}
+
+std::size_t next_slot(std::size_t slot) {
+  return (slot + 1) & (ShmArenaHeader::kIndexSlots - 1);
+}
+}  // namespace
 
 const char* arena_backing_name(ArenaBacking b) {
   switch (b) {
@@ -161,11 +184,12 @@ std::byte* SharedArena::raw_bytes() { return usable_base(); }
 const std::byte* SharedArena::raw_bytes() const { return usable_base(); }
 
 ShmArenaEntry* SharedArena::shm_find_locked(const std::string& name) const {
-  for (std::uint32_t i = 0; i < shm_header_->entry_count; ++i) {
-    ShmArenaEntry& e = shm_header_->entries[i];
+  for (std::size_t slot = index_slot(name);; slot = next_slot(slot)) {
+    const std::uint32_t i = shm_header_->index[slot];
+    if (i == 0) return nullptr;
+    ShmArenaEntry& e = shm_header_->entries[i - 1];
     if (name == e.name) return &e;
   }
-  return nullptr;
 }
 
 ShmArenaEntry* SharedArena::shm_add_locked(const std::string& name,
@@ -185,7 +209,9 @@ ShmArenaEntry* SharedArena::shm_add_locked(const std::string& name,
   e.align = align;
   e.cls = static_cast<std::uint32_t>(cls);
   e.placed = 0;
-  ++shm_header_->entry_count;  // publish only after every field is written
+  std::size_t slot = index_slot(name);
+  while (shm_header_->index[slot] != 0) slot = next_slot(slot);
+  shm_header_->index[slot] = ++shm_header_->entry_count;
   return &e;
 }
 

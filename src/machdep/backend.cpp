@@ -235,32 +235,10 @@ void ExecutionBackend::reset_shared_sync_after_death() {
 }
 
 // ---------------------------------------------------------------------------
-// os-fork engines (machdep/shm over the MAP_SHARED arena).
+// The os-fork askfor engine (machdep/shm over the MAP_SHARED arena).
 // ---------------------------------------------------------------------------
 
 namespace {
-
-class ShmBarrierEngine final : public BarrierEngine {
- public:
-  ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<shm::ShmBarrierState>("%barrier/" + key)),
-        label_("barrier '" + key + "'"),
-        width_(static_cast<std::uint32_t>(width)) {}
-
-  void arrive(int /*proc0*/, const std::function<void()>* section) override {
-    static const std::function<void()> kNoSection;
-    shm::shm_barrier_arrive(*state_, width_, section != nullptr ? *section
-                                                                : kNoSection,
-                            label_.c_str());
-  }
-
-  [[nodiscard]] const char* name() const override { return "process-shared"; }
-
- private:
-  shm::ShmBarrierState* state_;
-  std::string label_;
-  std::uint32_t width_;
-};
 
 class ShmAskforRing final : public AskforRing {
  public:
@@ -626,11 +604,6 @@ class ShmBackend final : public ExecutionBackend {
     return std::make_unique<ShmAskforRing>(arena_, key, capacity, task_bytes);
   }
 
-  [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
-      int width, const std::string& key) override {
-    return std::make_unique<ShmBarrierEngine>(arena_, width, key);
-  }
-
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
       LockRole /*role*/, const std::string& label, LockObserver* /*observer*/,
       bool held) override {
@@ -712,21 +685,16 @@ class ShmBackend final : public ExecutionBackend {
         return name.rfind(p, 0) == 0;
       };
       if (prefixed("%site/")) {
-        // Construct state over locks and site storage (DOALL gates'
-        // arrival count and bounds, reduction accumulators, async cells'
-        // tagged words, Isfull flags and payloads, the run generation):
+        // Construct state over locks and site storage (barrier words,
+        // DOALL gates' arrival count and bounds, reduction accumulators,
+        // async cells' tagged words, Isfull flags and payloads, the run
+        // generation):
         // zero is every site's fresh state, so every async cell restarts
         // empty - its E/F locks go back to their declared state below.
         std::memset(addr, 0, bytes);
       } else if (prefixed("%lock/")) {
         auto* l = static_cast<shm::ShmLockState*>(addr);
         l->word.store(l->initial, std::memory_order_release);
-      } else if (prefixed("%barrier/")) {
-        // The victims' arrivals can never complete. The episode word stays
-        // monotonic (arrivals read it fresh), so zeroing the count alone
-        // re-arms the episode.
-        static_cast<shm::ShmBarrierState*>(addr)->count.store(
-            0, std::memory_order_release);
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
         a->monitor.word.store(0, std::memory_order_release);

@@ -18,10 +18,9 @@
 //     arena, so the same core code runs under both. Constructs the cluster
 //     backend cannot build that way - it has no shared memory - get
 //     construct engines over coordinator RPCs instead (DoallSite,
-//     ReductionSite, AsyncCell, ...); a null engine means "no engine".
-//     Askfor still has an os-fork engine too, and keyed barriers have one
-//     on both separate-process backends. Core never names a backend
-//     (enforced by a CI layering lint).
+//     ReductionSite, AsyncCell, BarrierEngine, ...); a null engine means
+//     "no engine". Askfor still has an os-fork engine too. Core never
+//     names a backend (enforced by a CI layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
 //     backend supports, consumed by (a) runtime rejection diagnostics
@@ -136,7 +135,7 @@ struct CapabilityRow {
 // created for trivially copyable payloads (the capability table rejects the
 // rest before an engine is requested). A null engine from the backend means
 // "no engine": the construct runs its own code over new_lock and site_state.
-// DOALL sites, reduction sites and async cells are cluster-only engines.
+// Barriers, DOALL sites, reduction sites and async cells are cluster-only.
 // ---------------------------------------------------------------------------
 
 /// Episode bounds of one selfscheduled DOALL site, as published by the
@@ -208,14 +207,14 @@ class ReductionSite {
                          void* shared_target, const Combine& combine) = 0;
 };
 
-/// One keyed team barrier spanning the backend's address spaces.
+/// One keyed team barrier for a backend without shared memory (cluster
+/// only: every other backend runs the core's barriers over site state).
 class BarrierEngine {
  public:
   virtual ~BarrierEngine() = default;
   /// One arrival; `section` (null = none) runs in the elected champion.
   virtual void arrive(int proc0, const std::function<void()>* section) = 0;
-  /// Algorithm name for barrier_name() observers ("process-shared",
-  /// "cluster", ...).
+  /// Algorithm name for barrier name observers ("cluster").
   [[nodiscard]] virtual const char* name() const = 0;
 };
 

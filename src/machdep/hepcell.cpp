@@ -1,19 +1,12 @@
 #include "machdep/hepcell.hpp"
 
-#include "machdep/fiber.hpp"
-#include "machdep/locks.hpp"
 #include "machdep/shm.hpp"
+#include "machdep/waitword.hpp"
 
 namespace force::machdep {
 
 namespace {
 std::atomic<std::uint64_t> g_hep_waits{0};
-
-/// A blocked access pauses this many times, then yields this many times,
-/// before it parks: the spin libstdc++'s atomic wait makes before its
-/// futex, so a handoff between two running threads rarely sleeps.
-constexpr int kSpinRelax = 12;
-constexpr int kSpinYield = 4;
 }  // namespace
 
 HepCell::HepCell(std::uint64_t initial_value)
@@ -33,19 +26,15 @@ std::uint32_t HepCell::await_and_seize(std::uint32_t from) {
       }
       continue;
     }
-    if (spin < kSpinRelax) {
-      cpu_relax();
-    } else {
-      if (spin == kSpinRelax) {
-        g_hep_waits.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (spin == kSpinRelax) g_hep_waits.fetch_add(1, std::memory_order_relaxed);
+    if (!spin_pause(spin)) {
       // A busy word is never marked or slept on: its owner alone writes
       // it, so the publish that ends the window needs no atomic
       // read-modify-write to see the mark. The window is a few stores, so
       // a waiter yields until it ends (a dead owner poisons the team). An
-      // N:M pooled member never parks either: the access it waits for may
-      // be scheduled on this very worker thread.
-      if (now == kBusy || spin < kSpinRelax + kSpinYield || on_fiber()) {
+      // N:M pooled member never marks either: it yields rather than
+      // sleeps, so it has no wake to ask for.
+      if (now == kBusy || on_fiber()) {
         shm::check_poison();
         member_yield();
       } else {
@@ -65,8 +54,7 @@ void HepCell::park(std::uint32_t seen) {
                                       std::memory_order_relaxed)) {
     return;
   }
-  shm::check_poison();
-  shm::futex_wait(&state_, seen | kWaiters);
+  park_on(state_, seen | kWaiters);
 }
 
 std::uint32_t HepCell::try_seize(std::uint32_t from) {

@@ -13,14 +13,15 @@
 // The cell is address-free plain data: all-zero bytes are an empty cell,
 // and it works wherever it lives - on a thread's stack, in construct site
 // state, or in a MAP_SHARED mapping addressed by several fork(2) children.
-// A blocked access spins briefly, then parks on the state word with the
-// process-shared futex (shm::futex_wait) in bounded, poison-checked slices;
-// an N:M pooled member yields its worker instead. A parked waiter first
-// sets a mark bit in the state word, and a publish makes the wake syscall
-// only when it sees that bit, so an uncontended transfer makes none. Only
-// an empty or full word is marked: the seize carries the mark into the
-// busy word, and a waiter that finds the cell busy yields until the
-// owner's publish, which therefore needs no atomic read-modify-write.
+// A blocked access spins, then parks on the state word with the runtime's
+// park step (machdep::park_on: bounded, poison-checked slices on the
+// process-shared futex; an N:M pooled member yields its worker instead).
+// A parked waiter first sets a mark bit in the state word, and a publish
+// makes the wake syscall only when it sees that bit, so an uncontended
+// transfer makes none. Only an empty or full word is marked: the seize
+// carries the mark into the busy word, and a waiter that finds the cell
+// busy yields until the owner's publish, which therefore needs no atomic
+// read-modify-write.
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "machdep/waitword.hpp"
 #include "util/check.hpp"
 
 #ifdef __linux__
@@ -66,17 +67,11 @@ void set_team_poison(std::atomic<std::uint32_t>* word) {
   g_poison.store(word, std::memory_order_release);
 }
 
-std::atomic<std::uint32_t>* team_poison() {
-  return g_poison.load(std::memory_order_acquire);
-}
-
-bool team_poisoned() {
-  std::atomic<std::uint32_t>* w = team_poison();
-  return w != nullptr && w->load(std::memory_order_acquire) != 0;
-}
-
 void check_poison() {
-  if (team_poisoned()) throw TeamPoisoned();
+  std::atomic<std::uint32_t>* w = g_poison.load(std::memory_order_acquire);
+  if (w != nullptr && w->load(std::memory_order_acquire) != 0) {
+    throw TeamPoisoned();
+  }
 }
 
 void set_site_slot(char* slot, std::size_t capacity) {
@@ -129,18 +124,18 @@ AnonMapping& AnonMapping::operator=(AnonMapping&& other) noexcept {
 // --- process-shared lock ---------------------------------------------------
 
 void shm_lock_acquire(ShmLockState& s) {
-  std::uint32_t c = 0;
-  if (s.word.compare_exchange_strong(c, 1, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-    return;  // uncontended
+  for (int round = 0;; ++round) {
+    if (s.word.load(std::memory_order_relaxed) == 0 &&
+        shm_lock_try_acquire(s)) {
+      return;
+    }
+    if (!spin_pause(round)) break;
   }
-  // Contended: advertise a waiter (state 2) and park. Acquiring via the
-  // exchange leaves the word at 2, so the eventual release always wakes -
-  // one spurious wake per contention burst, never a lost one.
-  for (;;) {
-    if (s.word.exchange(2, std::memory_order_acquire) == 0) return;
-    check_poison();
-    futex_wait(&s.word, 2);
+  // Still contended: advertise a waiter (state 2) and park. Acquiring via
+  // the exchange leaves the word at 2, so the eventual release always
+  // wakes - one spurious wake per contention burst, never a lost one.
+  while (s.word.exchange(2, std::memory_order_acquire) != 0) {
+    park_on(s.word, 2);
   }
 }
 
@@ -155,33 +150,6 @@ void shm_lock_release(ShmLockState& s) {
   // unlocked lock is a caller bug; the exchange makes it harmless here.
   if (s.word.exchange(0, std::memory_order_release) == 2) {
     futex_wake(&s.word, 1);
-  }
-}
-
-// --- process-shared barrier ------------------------------------------------
-
-void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
-                        const std::function<void()>& section,
-                        const char* label) {
-  note_site(label);
-  const std::uint32_t ep = b.episode.load(std::memory_order_acquire);
-  const std::uint32_t arrived =
-      b.count.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (arrived == width) {
-    // Champion: everyone else is parked on the episode word. The count
-    // reset is published by the episode store; a process re-arriving for
-    // the next episode must first acquire-load episode != ep, ordering
-    // its fetch_add after this reset.
-    if (section) section();
-    b.count.store(0, std::memory_order_relaxed);
-    b.episode.store(ep + 1, std::memory_order_release);
-    futex_wake(&b.episode, -1);
-    return;
-  }
-  for (;;) {
-    if (b.episode.load(std::memory_order_acquire) != ep) return;
-    check_poison();
-    futex_wait(&b.episode, ep);
   }
 }
 
@@ -289,9 +257,7 @@ bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label) {
     // sleep on the version word until something changes.
     const std::uint32_t v = a.version.load(std::memory_order_acquire);
     shm_lock_release(a.monitor);
-    if (a.version.load(std::memory_order_acquire) == v) {
-      futex_wait(&a.version, v);
-    }
+    park_on(a.version, v);
   }
 }
 

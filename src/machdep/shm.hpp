@@ -10,8 +10,8 @@
 // queue is keyed by physical page) and with a bounded sleep-poll fallback
 // elsewhere.
 //
-// Liveness contract: every blocking wait in this file is *bounded* (one
-// futex slice at a time) and re-checks the installed team-poison word
+// Liveness contract: every blocking wait is *bounded* (one futex slice at
+// a time, machdep::park_on) and re-checks the installed team-poison word
 // between slices. When the parent reaps a dead child it poisons the team;
 // survivors parked in any primitive here throw TeamPoisoned within one
 // slice instead of waiting forever on a peer that no longer exists. This
@@ -19,9 +19,9 @@
 //
 // All state structs are trivially destructible PODs so they can live in
 // the SharedArena (which reclaims storage as raw bytes) and be addressed
-// by name from every process. Async variables need no struct here: they
-// are HEP cells (machdep/hepcell, which parks on the futex layer below) or
-// two ShmLocks over site state.
+// by name from every process. Barriers and async variables need no struct
+// here: the core keeps them in site state over WaitWords, HEP cells or
+// ShmLocks.
 //
 // AnonMapping, the demand-zero anonymous mapping under the arena, the
 // private segments and the fiber stacks, lives here too: its shared flavour
@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -74,13 +73,9 @@ class TeamPoisoned : public std::runtime_error {
 /// concurrent runs - one fork team per process at a time, which is the
 /// Force's one-driver model anyway.
 void set_team_poison(std::atomic<std::uint32_t>* word);
-[[nodiscard]] std::atomic<std::uint32_t>* team_poison();
 
-/// True when a poison word is installed and set.
-[[nodiscard]] bool team_poisoned();
-
-/// Throws TeamPoisoned when the team is poisoned; called between wait
-/// slices by every primitive below.
+/// Throws TeamPoisoned when a poison word is installed and set; called
+/// between wait slices by every blocking wait (machdep::park_on).
 void check_poison();
 
 // --- last-known construct site ---------------------------------------------
@@ -172,25 +167,6 @@ class ShmLock final : public BasicLock {
   ShmLockState* state_;
   std::string label_;
 };
-
-// --- process-shared barrier ------------------------------------------------
-
-/// Episode barrier: no per-process sense needed (the episode word IS the
-/// sense), so the state is two shared words and works for any process
-/// that can read them. The width-th arriver is the champion: it runs the
-/// barrier section while everyone else is parked on the episode word,
-/// resets the count, then publishes episode+1 and wakes all.
-struct alignas(64) ShmBarrierState {
-  std::atomic<std::uint32_t> count{0};
-  std::atomic<std::uint32_t> episode{0};
-};
-
-/// One arrival. `section` (may be empty) runs in the champion while the
-/// other width-1 processes are suspended. `label` (may be null) is noted
-/// as the last-known construct site before parking.
-void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
-                        const std::function<void()>& section,
-                        const char* label);
 
 // --- process-shared askfor monitor -----------------------------------------
 

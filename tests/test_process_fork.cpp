@@ -153,9 +153,9 @@ TEST(ForkBackend, DoallDispatchEngineFollowsMachineAndConfig) {
   }
 }
 
-// The tournament's slots wait with in-process atomic waits, which cannot
-// span fork children: under os-fork a kTournament request runs the
-// critical idiom and must agree with it.
+// The tournament's slots live in process memory, which fork children do
+// not share: under os-fork a kTournament request runs the critical idiom
+// and must agree with it.
 TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
   force::Force f(fork_config());
   auto& results = f.shared<std::array<std::int64_t, 2 * kNproc>>("results");
@@ -252,6 +252,33 @@ TEST(ForkBackend, ThousandCellAsyncArrayRoundTrips) {
     }
   });
   EXPECT_EQ(sum, static_cast<std::int64_t>(kCells * (kCells + 1) / 2));
+}
+
+// Barriers are central-sense over site state: the global barrier and every
+// reduction's barrier keep their words under "%site/barrier/...", where the
+// death scrub's site-state zeroing re-arms them. No separate barrier state
+// exists.
+TEST(ForkBackend, SiteBarriersLiveInSiteState) {
+  force::Force f(fork_config());
+  auto& total = f.shared<std::int64_t>("total");
+  f.run([&](core::Ctx& ctx) {
+    ctx.barrier();
+    ctx.reduce_into<std::int64_t>(FORCE_SITE, ctx.me(), total,
+                                  [](std::int64_t a, std::int64_t b) {
+                                    return a + b;
+                                  });
+    ctx.barrier();
+  });
+  EXPECT_EQ(total, kNproc * (kNproc + 1) / 2);
+  EXPECT_STREQ(f.env().global_barrier().name(), "central-sense");
+  EXPECT_TRUE(f.env().arena().contains_name("%site/barrier/force/global"));
+  int reduce_barriers = 0;
+  f.env().arena().for_each_allocation(
+      [&](const std::string& name, void*, std::size_t) {
+        EXPECT_NE(name.rfind("%barrier/", 0), 0u) << name;
+        if (name.rfind("%site/barrier/reduce@", 0) == 0) ++reduce_barriers;
+      });
+  EXPECT_EQ(reduce_barriers, 1);
 }
 
 // The HEP cell is address-free: placed in a MAP_SHARED mapping it hands
