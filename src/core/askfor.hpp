@@ -5,19 +5,25 @@
 // not known at compile time. Rather, the program can request during run
 // time that a new concurrent instance of the code segment is executed."
 //
-// AskforCore is the monitor: work tokens plus the bookkeeping needed to
+// AskforCore is the monitor: task records plus the bookkeeping needed to
 // distinguish "no work right now, but a working process may still put()
 // more" (wait) from "no work and nobody working" (done). Askfor<T> is the
 // typed façade with the canonical worker loop.
+//
+// The monitor is written once for the thread and os-fork backends: its
+// whole state - the drained/probend latch, counters, grant tallies, the
+// generation stamp, a fixed-capacity central ring of task records and the
+// per-member steal deques - is construct site state, and its lock comes
+// from new_lock(). Records are the task's own bytes, so a granted task is
+// copied out to the worker. Idle askers park on a WaitWord in that state.
 //
 // Dispatch has two engines, selected by the machine capability
 // (MachineSpec::hardware_atomic_rmw, via ForceEnvironment):
 //
 //   * Lock-only machines run the Argonne monitor shape unchanged: one
-//     generic lock around a central queue, poll-with-yield waiting. Every
-//     operation is one lock pass, exactly as the 1989 expansion - and
-//     exactly as the seed of this repo, so LockCounters totals for these
-//     machines are unchanged.
+//     generic lock around the central ring. Every operation is one lock
+//     pass, exactly as the 1989 expansion - and exactly as the seed of
+//     this repo, so LockCounters totals for these machines are unchanged.
 //
 //   * Hardware-RMW machines add a lock-free fast path: one bounded
 //     Chase-Lev deque per worker (owner pops LIFO, thieves steal FIFO)
@@ -30,15 +36,16 @@
 // its answer).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "core/env.hpp"
@@ -51,14 +58,21 @@ namespace force::core {
 
 class AskforCore {
  public:
-  explicit AskforCore(ForceEnvironment& env);
+  /// Tasks one site's central ring holds: a put() beyond this many queued,
+  /// ungranted tasks is a checked error naming the site.
+  static constexpr std::uint32_t kRingCapacity = 16384;
+
+  /// The monitor at site `key` for task records of `task_bytes` bytes. An
+  /// empty key makes an anonymous monitor that shares no state.
+  AskforCore(ForceEnvironment& env, std::size_t task_bytes,
+             const std::string& key = "");
   ~AskforCore();
 
   AskforCore(const AskforCore&) = delete;
   AskforCore& operator=(const AskforCore&) = delete;
 
   enum class Outcome {
-    kWork,  ///< a token was granted; caller must complete() afterwards
+    kWork,  ///< a task was granted; caller must complete() afterwards
     kDone   ///< the computation is over (drained or probend)
   };
 
@@ -67,7 +81,7 @@ class AskforCore {
   /// its put() calls go to its own deque and its ask() calls pop LIFO
   /// before stealing. Purely an optimization - threads without a slot
   /// (seeders, oversubscribed teams, lock-only machines) fall back to the
-  /// central queue and stealing, with identical semantics.
+  /// central ring and stealing, with identical semantics.
   class WorkerSlot {
    public:
     explicit WorkerSlot(AskforCore& core);
@@ -83,13 +97,14 @@ class AskforCore {
     int saved_slot_;
   };
 
-  /// Adds a work token (callable from inside a granted task).
-  void put(std::size_t token);
+  /// Adds a task record (callable from inside a granted task).
+  void put(const void* task);
 
-  /// Blocks until work is available or the computation completes.
-  Outcome ask(std::size_t* token);
+  /// Blocks until work is available or the computation completes; on
+  /// kWork the granted record has been copied into `task`.
+  Outcome ask(void* task);
 
-  /// Reports that the token most recently granted to this process has
+  /// Reports that the task most recently granted to this process has
   /// been fully processed (its put() calls, if any, already made).
   void complete();
 
@@ -98,7 +113,7 @@ class AskforCore {
   /// the common case (next task from the caller's own deque) collapses the
   /// two inflight-counter updates into a single atomic subtract. On the
   /// lock engine it IS the two calls - same monitor passes as the seed.
-  Outcome next(std::size_t* token);
+  Outcome next(void* task);
 
   /// Ends the computation immediately; subsequent and pending ask()s
   /// return kDone. Idempotent.
@@ -107,7 +122,7 @@ class AskforCore {
   /// Re-arms the monitor for force-entry generation `gen`: a pooled team
   /// re-enters the same force (and so the same construct sites) many
   /// times, and the drained/probend latch must reset per entry. Leftover
-  /// tokens of an aborted episode are discarded. No-op once the monitor
+  /// tasks of an aborted episode are discarded. No-op once the monitor
   /// has seen `gen`; must only run at episode boundaries (no worker
   /// inside ask()/complete()).
   void rearm_for(std::uint32_t gen);
@@ -116,104 +131,83 @@ class AskforCore {
   [[nodiscard]] std::size_t granted() const;
 
   /// True when this monitor runs the work-stealing fast path.
-  [[nodiscard]] bool lock_free() const { return deques_ != nullptr; }
+  [[nodiscard]] bool lock_free() const { return nslots_ > 0; }
 
  private:
   friend class WorkerSlot;
+  struct Shared;
+  struct Slot;
 
   [[nodiscard]] int current_slot() const;
   int grab_slot();
   void release_slot(int slot);
+  [[nodiscard]] machdep::StealDeque::Cells cells(int slot) const;
+  [[nodiscard]] machdep::RecordWord* ring_cell(std::uint32_t index) const;
+  /// One monitor pass queueing `task` on the central ring (or dropping it
+  /// after a probend); a full ring is a checked error naming the site.
+  void put_central(const void* task);
+  bool ring_pop(void* task);
+  [[nodiscard]] bool worth_asking() const;
   void grant_fast(int slot);
-  Outcome ask_fast(std::size_t* token);
-  Outcome ask_locked(std::size_t* token);
+  Outcome ask_fast(void* task);
+  Outcome ask_locked(void* task);
 
   ForceEnvironment& env_;
+  std::string site_;
+  std::string label_;  ///< "askfor '<site>'", for waits and diagnostics
+  std::size_t bytes_;  ///< bytes of one task record
+  int nslots_;         ///< steal deques; 0 on the lock engine
   std::unique_ptr<machdep::BasicLock> monitor_;
-  std::deque<std::size_t> queue_;  // central queue, guarded by *monitor_
-  int working_ = 0;                // lock engine only, guarded by *monitor_
-
-  // Shared by both engines. The lock engine only touches them under the
-  // monitor (the atomics are then just storage); the fast path reads them
-  // lock-free.
-  std::atomic<bool> ended_{false};
-  /// True when ended_ was set by probend() rather than the drained latch.
-  /// The distinction matters for seeding: a drain is provisional - put()
-  /// racing behind it re-opens the monitor, so a seed put from inside the
-  /// force (the leader puts, everyone works) is never silently lost when a
-  /// sibling's first ask latched "drained" first - while a probend is
-  /// final for the force entry and later put()s are dropped, as ever.
-  std::atomic<bool> probend_{false};
-  std::atomic<std::size_t> granted_{0};
-  /// Force-entry generation this monitor was last (re-)armed for; atomic
-  /// so the common "already armed" probe in rearm_for stays lock-free.
-  std::atomic<std::uint32_t> seen_generation_{0};
-
-  // Fast path only (null / unused on lock-only machines):
-  int nslots_ = 0;
-  std::unique_ptr<machdep::StealDeque[]> deques_;
-  std::unique_ptr<std::atomic<bool>[]> slot_taken_;
-  /// Per-slot grant accounting on its own cache line: the slot owner
-  /// tallies grants with a relaxed increment (exclusive line, no
-  /// contention) instead of two shared fetch-adds per grant; the tally is
-  /// cumulative and granted() sums it, while the env-stats delta is
-  /// flushed when the slot is released.
-  struct alignas(64) SlotTally {
-    std::atomic<std::uint64_t> grants{0};
-    std::uint64_t stats_reported = 0;  // touched only at grab/release
-  };
-  std::unique_ptr<SlotTally[]> slot_tally_;
-  /// Tokens queued anywhere (low 32 bits) and tasks being executed (high
-  /// 32 bits), packed so one load decides termination race-free: a grant
-  /// moves one unit from pending to working in a single atomic add, so no
-  /// interleaving can show "0 pending, 0 working" while work is alive.
-  std::atomic<std::uint64_t> inflight_{0};
-  /// Hint that queue_ is nonempty, so the fast path only pays a monitor
-  /// pass when there is central work to fetch.
-  std::atomic<std::int64_t> central_count_{0};
+  // Views into this site's state (site state "askfor/<site>"): the shared
+  // header, nslots_ slots, the ring's cells, then the deques' cells.
+  Shared* shared_;
+  Slot* slots_;
+  machdep::RecordWord* ring_;
+  machdep::RecordWord* deque_cells_;
 };
 
-/// Typed askfor: stores tasks by value (stable storage) and runs the
-/// canonical worker loop. Every process of the force calls work() with the
-/// same site-shared instance; any process may seed() or put() tasks.
+/// Typed askfor: runs the canonical worker loop. Every process of the
+/// force calls work() with the same site-shared instance; any process may
+/// seed() or put() tasks.
 ///
-/// Under the separate-process backends the monitor is a backend engine
-/// keyed by the construct's site key (a fixed-capacity FIFO ring in the
-/// MAP_SHARED arena under os-fork; a coordinator monitor under cluster); T
-/// must then be trivially copyable, and the worker body receives a
-/// reference to a process-local *copy* of the granted task - mutations do
-/// not write back into the ring.
+/// A trivially copyable T travels as its own bytes - through the monitor's
+/// site state on threads and os-fork, through a coordinator monitor under
+/// cluster - so the worker body receives a reference to a process-local
+/// *copy* of the granted task: mutations do not write back. Any other T
+/// (thread backend only) is kept in a process-local store and travels as
+/// its index; the store is released when a new force entry first puts.
 template <typename T>
 class Askfor {
+  static constexpr bool kByValue = std::is_trivially_copyable_v<T>;
+  using Record = std::conditional_t<kByValue, T, std::size_t>;
+
  public:
-  explicit Askfor(ForceEnvironment& env, const std::string& key = "askfor")
+  explicit Askfor(ForceEnvironment& env, const std::string& key = "")
       : env_(&env) {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      ring_ = env.backend().make_askfor_ring(key, kForkRingCapacity,
-                                             sizeof(T));
+    const std::string site = key.empty() ? env.anonymous_site_key() : key;
+    if constexpr (kByValue) {
+      ring_ = env.backend().make_askfor_ring(site, sizeof(T));
     } else {
-      // Null engine + supported capability = the thread monitor below;
-      // backends that cannot memcpy tasks across reject here.
+      // Backends that cannot memcpy tasks across reject here.
       env.require(machdep::Capability::kNonTrivialPayloads,
-                  "Askfor task type", key);
+                  "Askfor task type", site);
+      store_ = std::make_unique<Store>();
     }
-    if (ring_ == nullptr) core_ = std::make_unique<AskforCore>(env);
+    if (ring_ == nullptr) {
+      core_ = std::make_unique<AskforCore>(env, sizeof(Record), site);
+    }
   }
 
   /// Adds a task; thread-safe, callable before or during work().
   void put(T task) {
     maybe_rearm();
-    if (ring_ != nullptr) {
-      ring_->put(&task);
-      return;
+    if (ring_ != nullptr) return ring_->put(&task);
+    if constexpr (kByValue) {
+      core_->put(&task);
+    } else {
+      const std::size_t index = keep(std::move(task));
+      core_->put(&index);
     }
-    std::size_t token;
-    {
-      std::lock_guard<std::mutex> g(guard_);
-      tasks_.push_back(std::move(task));
-      token = tasks_.size() - 1;
-    }
-    core_->put(token);
   }
 
   /// The worker loop: repeatedly asks for work and runs
@@ -221,29 +215,22 @@ class Askfor {
   /// Returns the number of tasks this process executed.
   std::size_t work(const std::function<void(T&, Askfor<T>&)>& body) {
     maybe_rearm();
-    if (ring_ != nullptr) return work_ring(body);
     // Register with the dispatch fast path for the duration of the loop
     // (no-op on lock-only machines).
-    AskforCore::WorkerSlot worker(*core_);
+    std::optional<AskforCore::WorkerSlot> worker;
+    if (core_ != nullptr) worker.emplace(*core_);
+    // Raw storage instead of T{}: the grant copy fully initializes it,
+    // and T need not be default constructible.
+    alignas(Record) unsigned char record[sizeof(Record)];
     std::size_t executed = 0;
-    std::size_t token = 0;
-    AskforCore::Outcome outcome = core_->ask(&token);
-    while (outcome == AskforCore::Outcome::kWork) {
-      T* task = nullptr;
-      {
-        std::lock_guard<std::mutex> g(guard_);
-        task = &tasks_[token];
-      }
+    for (bool more = ask(record); more; more = next(record)) {
       try {
-        body(*task, *this);
+        body(task_at(record), *this);
       } catch (...) {
-        core_->complete();
+        complete();
         throw;
       }
       ++executed;
-      // Fused complete+ask: one inflight update when the next task comes
-      // from this worker's own deque.
-      outcome = core_->next(&token);
     }
     return executed;
   }
@@ -251,10 +238,7 @@ class Askfor {
   /// Aborts the computation (e.g. a search hit).
   void probend() {
     maybe_rearm();
-    if (ring_ != nullptr) {
-      ring_->probend();
-      return;
-    }
+    if (ring_ != nullptr) return ring_->probend();
     core_->probend();
   }
 
@@ -270,60 +254,74 @@ class Askfor {
   }
 
  private:
-  /// Ring capacity under os-fork; put() beyond this many queued-but-
-  /// ungranted tasks is a checked error (the thread engines' unbounded
-  /// stable storage cannot be shared across address spaces).
-  static constexpr std::uint32_t kForkRingCapacity = 4096;
-
   /// Pooled teams re-enter the same force over long-lived construct sites:
   /// the first put/work/probend of a new force entry resets the previous
-  /// entry's drained/probend latch. Tasks in tasks_ stay (grow-only
-  /// storage invariant); only the dispatch state re-arms.
+  /// entry's drained/probend latch. (The cluster monitor is born fresh
+  /// with each team.)
   void maybe_rearm() {
-    if (ring_ != nullptr) {
-      // The engine decides what re-arming means on its substrate (the
-      // cluster monitor is born fresh per team, so its rearm is a no-op).
-      ring_->rearm(env_->run_generation());
-      return;
-    }
-    core_->rearm_for(env_->run_generation());
+    if (core_ != nullptr) core_->rearm_for(env_->run_generation());
   }
 
-  std::size_t work_ring(const std::function<void(T&, Askfor<T>&)>& body) {
-    std::size_t executed = 0;
-    // Raw storage instead of T{}: the grant memcpy fully initializes it,
-    // and T need not be default constructible (only trivially copyable,
-    // which the constructor already checked).
-    alignas(T) unsigned char raw[sizeof(T)];
-    T* task = reinterpret_cast<T*>(raw);
-    while (ring_->ask(raw)) {
-      try {
-        body(*task, *this);
-      } catch (...) {
-        ring_->complete();
-        throw;
-      }
-      ++executed;
-      ring_->complete();
-    }
-    return executed;
+  bool ask(void* record) {
+    if (ring_ != nullptr) return ring_->ask(record);
+    return core_->ask(record) == AskforCore::Outcome::kWork;
   }
+
+  /// Completes the current task and asks for the next one.
+  bool next(void* record) {
+    if (ring_ != nullptr) {
+      ring_->complete();
+      return ring_->ask(record);
+    }
+    return core_->next(record) == AskforCore::Outcome::kWork;
+  }
+
+  void complete() {
+    if (ring_ != nullptr) return ring_->complete();
+    core_->complete();
+  }
+
+  T& task_at(unsigned char* record) {
+    if constexpr (kByValue) {
+      return *std::launder(reinterpret_cast<T*>(record));
+    } else {
+      std::size_t index = 0;
+      std::memcpy(&index, record, sizeof index);
+      std::lock_guard<std::mutex> g(store_->guard);
+      return store_->tasks[index];
+    }
+  }
+
+  /// Stores a non-trivially-copyable task; returns its index. The first
+  /// put of a new force entry releases the last entry's tasks: the re-arm
+  /// that entry's first operation ran discarded every index into them.
+  std::size_t keep(T&& task) {
+    std::lock_guard<std::mutex> g(store_->guard);
+    const std::uint32_t gen = env_->run_generation();
+    if (gen != store_->generation) {
+      store_->tasks.clear();
+      store_->generation = gen;
+    }
+    store_->tasks.push_back(std::move(task));
+    return store_->tasks.size() - 1;
+  }
+
+  /// The process-local store of non-trivially-copyable tasks (thread
+  /// backend only). INVARIANT: within a force entry `tasks` only grows
+  /// (push_back on a std::deque never relocates elements), so a reference
+  /// obtained from tasks[index] stays valid for the task's whole
+  /// execution even while other threads put() concurrently.
+  struct Store {
+    std::mutex guard;
+    std::deque<T> tasks;
+    std::uint32_t generation = 0;
+  };
 
   ForceEnvironment* env_;
-  std::unique_ptr<AskforCore> core_;  // thread backend only
-  /// Backend monitor engine; null on the thread backend.
+  std::unique_ptr<AskforCore> core_;  // thread and os-fork
+  /// Backend monitor engine (cluster); null elsewhere.
   std::unique_ptr<machdep::AskforRing> ring_;
-  /// Guards growth of tasks_ only. The monitor lock cannot be reused
-  /// (put() may be called while the caller does not hold it), and a plain
-  /// mutex suffices: this is task *storage*, not dispatch.
-  std::mutex guard_;
-  /// Task storage. INVARIANT: tasks_ is a std::deque and only ever grows
-  /// (push_back; never erase/clear/pop while workers run), so a reference
-  /// obtained from tasks_[token] stays valid for the task's whole
-  /// execution even while other threads put() concurrently - deque growth
-  /// never relocates existing elements. Replacing the container or adding
-  /// removal would break every outstanding `T&` held by worker bodies.
-  std::deque<T> tasks_;
+  std::unique_ptr<Store> store_;  // non-trivially-copyable T only
 };
 
 }  // namespace force::core

@@ -197,8 +197,8 @@ class ForceEnvironment {
   [[nodiscard]] machdep::ProcessModel process_model() const { return model_; }
 
   /// The execution backend realizing the constructs on that substrate.
-  /// Constructs ask it for engines (a null engine means "use the
-  /// monomorphic thread machinery") - core never names a backend.
+  /// Constructs ask it for locks, site state and (cluster only) engines -
+  /// core never names a backend.
   [[nodiscard]] machdep::ExecutionBackend& backend() { return *backend_; }
 
   /// Capability probe against the declarative backend matrix.
@@ -239,8 +239,8 @@ class ForceEnvironment {
   /// Scrubs the process-shared synchronization state in the arena after
   /// a pooled team died mid-protocol, by name prefix and without knowing
   /// any construct's layout: site state (barriers, DOALL gates,
-  /// reductions, async cells, the run generation) zeroed, lock words back
-  /// to their declared initial state, askfor rings re-initialized. A
+  /// reductions, async cells, askfor monitors, the run generation)
+  /// zeroed, lock words back to their declared initial state. A
   /// poisoned team leaves this state wherever the victims stood, so the
   /// fresh team the next run forks must not inherit it. Every async
   /// variable restarts empty, even one a finished producer had left full;

@@ -1,10 +1,8 @@
 // ExecutionBackend implementations: the one place that knows how each
 // process substrate realizes the Force's constructs. ThreadBackend and
-// ShmBackend hand out locks and site storage, over which the core DOALL,
-// reduction and async variables run unchanged; ShmBackend adds engines for
-// the constructs whose os-fork protocols still differ (askfor rings, keyed
-// barriers), and ClusterBackend engines serve every construct through the
-// coordinator.
+// ShmBackend hand out locks and site storage, over which every core
+// construct runs unchanged; ClusterBackend engines serve the constructs
+// through the coordinator.
 #include "machdep/backend.hpp"
 
 #include <cstring>
@@ -181,8 +179,7 @@ std::unique_ptr<DoallSite> ExecutionBackend::make_doall_site(
 }
 
 std::unique_ptr<AskforRing> ExecutionBackend::make_askfor_ring(
-    const std::string& /*key*/, std::uint32_t /*capacity*/,
-    std::size_t /*task_bytes*/) {
+    const std::string& /*key*/, std::size_t /*task_bytes*/) {
   return nullptr;
 }
 
@@ -234,52 +231,7 @@ void ExecutionBackend::reset_shared_sync_after_death() {
   FORCE_CHECK(false, "sync-state death recovery is an os-fork concern");
 }
 
-// ---------------------------------------------------------------------------
-// The os-fork askfor engine (machdep/shm over the MAP_SHARED arena).
-// ---------------------------------------------------------------------------
-
 namespace {
-
-class ShmAskforRing final : public AskforRing {
- public:
-  ShmAskforRing(SharedArena* arena, const std::string& key,
-                std::uint32_t capacity, std::size_t task_bytes)
-      : label_("askfor '" + key + "'") {
-    const auto stride = static_cast<std::uint32_t>(task_bytes);
-    void* blob = arena->allocate_once(
-        "%askfor/" + key, shm::shm_askfor_bytes(capacity, stride),
-        alignof(shm::ShmAskforState), VarClass::kShared,
-        [capacity, stride](void* p) {
-          shm::shm_askfor_init(p, capacity, stride);
-        });
-    state_ = static_cast<shm::ShmAskforState*>(blob);
-  }
-
-  void put(const void* task) override { shm::shm_askfor_put(*state_, task); }
-
-  bool ask(void* out) override {
-    return shm::shm_askfor_ask(*state_, out, label_.c_str());
-  }
-
-  void complete() override { shm::shm_askfor_complete(*state_); }
-  void probend() override { shm::shm_askfor_probend(*state_); }
-
-  [[nodiscard]] bool ended() override {
-    return shm::shm_askfor_ended(*state_);
-  }
-
-  [[nodiscard]] std::uint64_t granted() override {
-    return state_->granted.load(std::memory_order_relaxed);
-  }
-
-  void rearm(std::uint32_t gen) override {
-    shm::shm_askfor_rearm(*state_, gen);
-  }
-
- private:
-  shm::ShmAskforState* state_;
-  std::string label_;
-};
 
 // ---------------------------------------------------------------------------
 // Cluster engines (coordinator RPCs via the member's ClusterClient).
@@ -403,11 +355,6 @@ class ClusterAskforRing final : public AskforRing {
     std::uint64_t granted = 0;
     cluster::require_client().askfor_status(key_, &ended, &granted);
     return granted;
-  }
-
-  void rearm(std::uint32_t /*gen*/) override {
-    // The coordinator's monitor table is born fresh with each cluster team
-    // (no pooled re-entry), so generations never need re-arming.
   }
 
  private:
@@ -598,12 +545,6 @@ class ShmBackend final : public ExecutionBackend {
     return ProcessModel::kOsFork;
   }
 
-  [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t capacity,
-      std::size_t task_bytes) override {
-    return std::make_unique<ShmAskforRing>(arena_, key, capacity, task_bytes);
-  }
-
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
       LockRole /*role*/, const std::string& label, LockObserver* /*observer*/,
       bool held) override {
@@ -687,24 +628,15 @@ class ShmBackend final : public ExecutionBackend {
       if (prefixed("%site/")) {
         // Construct state over locks and site storage (barrier words,
         // DOALL gates' arrival count and bounds, reduction accumulators,
-        // async cells' tagged words, Isfull flags and payloads, the run
-        // generation):
+        // async cells' tagged words, Isfull flags and payloads, askfor
+        // monitors with their rings and deques, the run generation):
         // zero is every site's fresh state, so every async cell restarts
-        // empty - its E/F locks go back to their declared state below.
+        // empty - its E/F locks go back to their declared state below -
+        // and every askfor monitor re-arms at its next operation.
         std::memset(addr, 0, bytes);
       } else if (prefixed("%lock/")) {
         auto* l = static_cast<shm::ShmLockState*>(addr);
         l->word.store(l->initial, std::memory_order_release);
-      } else if (prefixed("%askfor/")) {
-        auto* a = static_cast<shm::ShmAskforState*>(addr);
-        a->monitor.word.store(0, std::memory_order_release);
-        a->head = 0;
-        a->tail = 0;
-        a->working = 0;
-        a->ended = 0;
-        // Back to "never armed": the next entry's first operation runs the
-        // full generation re-arm.
-        a->seen_gen.store(0, std::memory_order_release);
       }
     });
   }
@@ -735,10 +667,8 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t /*capacity*/,
-      std::size_t task_bytes) override {
-    // The coordinator's monitor queue grows on demand; capacity is an
-    // os-fork ring concern.
+      const std::string& key, std::size_t task_bytes) override {
+    // The coordinator's monitor queue grows on demand.
     return std::make_unique<ClusterAskforRing>(key, task_bytes);
   }
 

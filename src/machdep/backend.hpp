@@ -10,17 +10,17 @@
 //   * ProcessModel / ExecutionBackend - the process substrate is chosen ONCE
 //     (ForceEnvironment construction) and every construct talks to one
 //     polymorphic surface. Constructs built from locks and shared memory
-//     alone (selfscheduled DOALL, reductions, async variables) ask it for
-//     exactly those: a lock (new_lock) and construct-once site storage
-//     (site_state). The
+//     alone (selfscheduled DOALL, reductions, async variables, barriers,
+//     askfor) ask it for exactly those: a lock (new_lock) and
+//     construct-once site storage (site_state). The
 //     thread backend hands out machine locks and a private store; the
 //     os-fork backend hands out futex locks and storage in the MAP_SHARED
 //     arena, so the same core code runs under both. Constructs the cluster
 //     backend cannot build that way - it has no shared memory - get
 //     construct engines over coordinator RPCs instead (DoallSite,
-//     ReductionSite, AsyncCell, BarrierEngine, ...); a null engine means
-//     "no engine". Askfor still has an os-fork engine too. Core never
-//     names a backend (enforced by a CI layering lint).
+//     ReductionSite, AsyncCell, BarrierEngine, AskforRing); a null engine
+//     means "no engine". Core never names a backend (enforced by a CI
+//     layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
 //     backend supports, consumed by (a) runtime rejection diagnostics
@@ -135,7 +135,7 @@ struct CapabilityRow {
 // created for trivially copyable payloads (the capability table rejects the
 // rest before an engine is requested). A null engine from the backend means
 // "no engine": the construct runs its own code over new_lock and site_state.
-// Barriers, DOALL sites, reduction sites and async cells are cluster-only.
+// Every engine is cluster-only.
 // ---------------------------------------------------------------------------
 
 /// Episode bounds of one selfscheduled DOALL site, as published by the
@@ -162,7 +162,8 @@ class DoallSite {
                                        std::int64_t divisor) = 0;
 };
 
-/// One Askfor monitor over fixed-stride trivially-copyable task records.
+/// One Askfor monitor over fixed-size trivially-copyable task records, for
+/// a backend without shared memory (cluster only).
 class AskforRing {
  public:
   virtual ~AskforRing() = default;
@@ -174,8 +175,6 @@ class AskforRing {
   virtual void probend() = 0;
   [[nodiscard]] virtual bool ended() = 0;
   [[nodiscard]] virtual std::uint64_t granted() = 0;
-  /// Re-arms the ring for force-entry generation `gen` (pooled team reuse).
-  virtual void rearm(std::uint32_t gen) = 0;
 };
 
 /// One async full/empty cell over a trivially-copyable payload.
@@ -236,7 +235,7 @@ class ExecutionBackend {
   [[nodiscard]] virtual std::unique_ptr<DoallSite> make_doall_site(
       const std::string& site, int width);
   [[nodiscard]] virtual std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t capacity, std::size_t task_bytes);
+      const std::string& key, std::size_t task_bytes);
   [[nodiscard]] virtual std::unique_ptr<AsyncCell> make_async_cell(
       const std::string& label, std::size_t payload_bytes,
       std::size_t payload_align);

@@ -19,9 +19,9 @@
 //
 // All state structs are trivially destructible PODs so they can live in
 // the SharedArena (which reclaims storage as raw bytes) and be addressed
-// by name from every process. Barriers and async variables need no struct
-// here: the core keeps them in site state over WaitWords, HEP cells or
-// ShmLocks.
+// by name from every process. Constructs need no struct here: the core
+// keeps barriers, async variables and askfor monitors in site state over
+// WaitWords, HEP cells or ShmLocks.
 //
 // AnonMapping, the demand-zero anonymous mapping under the arena, the
 // private segments and the fiber stacks, lives here too: its shared flavour
@@ -167,65 +167,5 @@ class ShmLock final : public BasicLock {
   ShmLockState* state_;
   std::string label_;
 };
-
-// --- process-shared askfor monitor -----------------------------------------
-
-/// The Askfor monitor over shared memory: a fixed-capacity FIFO ring of
-/// fixed-stride task records behind one ShmLock, with a version word for
-/// sleeping. head/tail are monotonic (index = value % capacity). Tasks
-/// are trivially-copyable bytes; a granted task is copied OUT of the ring
-/// (cross-process pointers into a growing queue cannot work), which is
-/// the one semantic difference from the thread engines' stable-storage
-/// references.
-struct ShmAskforState {
-  ShmLockState monitor;
-  std::atomic<std::uint32_t> version{0};  ///< bumped on put/complete/probend
-  std::atomic<std::uint64_t> granted{0};
-  std::uint32_t capacity = 0;
-  std::uint32_t stride = 0;
-  std::uint32_t head = 0;     ///< guarded by monitor
-  std::uint32_t tail = 0;     ///< guarded by monitor
-  std::int32_t working = 0;   ///< guarded by monitor
-  /// End latch, guarded by the monitor: 0 open, kShmAskforDrained when the
-  /// termination check found no work and nobody working, kShmAskforProbend
-  /// after an explicit probend(). The distinction matters for seeding: a
-  /// drain is provisional (a put() racing behind it re-opens the monitor,
-  /// so a seed is never silently lost), a probend is final for the entry.
-  std::uint32_t ended = 0;
-  /// Force-entry generation this ring was last (re-)armed for. A pooled
-  /// team re-enters the same force repeatedly over the same arena, so the
-  /// drained/probend latch must reset per entry - the first operation of a
-  /// new generation clears the episode state. Atomic so the common "same
-  /// generation" probe stays outside the monitor.
-  std::atomic<std::uint32_t> seen_gen{0};
-  // capacity * stride task bytes follow this header in the arena blob.
-};
-
-/// ShmAskforState::ended values beyond 0 (open).
-inline constexpr std::uint32_t kShmAskforDrained = 1;
-inline constexpr std::uint32_t kShmAskforProbend = 2;
-
-/// Bytes of the whole blob (header + ring storage).
-[[nodiscard]] std::size_t shm_askfor_bytes(std::uint32_t capacity,
-                                           std::uint32_t stride);
-
-/// Initializes a raw blob (called once under the arena's construct-once
-/// protocol).
-void shm_askfor_init(void* blob, std::uint32_t capacity,
-                     std::uint32_t stride);
-
-/// Re-arms the ring for force-entry generation `gen` (pooled team reuse):
-/// resets the drained/probend latch, the ring indexes and the working
-/// count. A no-op when the ring has already seen `gen`. Must only be
-/// called at episode boundaries (no worker inside ask/complete).
-void shm_askfor_rearm(ShmAskforState& a, std::uint32_t gen);
-
-void shm_askfor_put(ShmAskforState& a, const void* task);
-/// Blocks for work; copies the granted task into `out` and returns true,
-/// or returns false when the computation is over (drained or probend).
-bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label);
-void shm_askfor_complete(ShmAskforState& a);
-void shm_askfor_probend(ShmAskforState& a);
-[[nodiscard]] bool shm_askfor_ended(const ShmAskforState& a);
 
 }  // namespace force::machdep::shm

@@ -13,8 +13,10 @@ void park_on(std::atomic<std::uint32_t>& word, std::uint32_t seen) {
   }
 }
 
-// The sleeper handshake is seq_cst on both sides: either store() sees the
-// waiter's advertisement, or the waiter's re-check sees the stored value.
+void note_site(const char* site) { shm::note_site(site); }
+
+// The sleeper handshake is seq_cst on both sides: either the writer sees
+// the waiter's advertisement, or the waiter's re-check sees the write.
 
 void WaitWord::store(std::uint32_t v) {
   value.store(v, std::memory_order_seq_cst);
@@ -23,15 +25,22 @@ void WaitWord::store(std::uint32_t v) {
   }
 }
 
-void WaitWord::sleep(std::uint32_t seen, const char* site) {
+void WaitWord::notify() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers.load(std::memory_order_relaxed) != 0) {
+    value.fetch_add(1, std::memory_order_seq_cst);
+    shm::futex_wake(&value, -1);
+  }
+}
+
+WaitWord::Sleeper::Sleeper(WaitWord& w, const char* site) : word(w) {
   shm::note_site(site);
-  if (on_fiber()) return park_on(value, seen);  // yields: no wake to ask for
-  sleepers.fetch_add(1, std::memory_order_seq_cst);
-  struct Leave {  // also when park_on throws
-    std::atomic<std::uint32_t>& n;
-    ~Leave() { n.fetch_sub(1, std::memory_order_seq_cst); }
-  } leave{sleepers};
-  if (value.load(std::memory_order_seq_cst) == seen) park_on(value, seen);
+  word.sleepers.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+
+WaitWord::Sleeper::~Sleeper() {
+  word.sleepers.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 }  // namespace force::machdep

@@ -6,7 +6,10 @@
 //
 // WaitWord is that policy over one 32-bit word plus a sleeper count, so a
 // store wakes only when somebody is parked. All-zero bytes are a fresh
-// word: it can live in construct site state (the MAP_SHARED arena).
+// word: it can live in construct site state (the MAP_SHARED arena). A wait
+// on the word's own value uses store()/wait_until(); a wait on a condition
+// kept elsewhere (an eventcount: the askfor monitor's idle askers) uses
+// notify()/await().
 #pragma once
 
 #include <atomic>
@@ -39,6 +42,10 @@ inline bool spin_pause(int round) {
 /// slice on `word` while it holds `seen`. Callers re-check on return.
 void park_on(std::atomic<std::uint32_t>& word, std::uint32_t seen);
 
+/// Records `site` as the calling process's last-known construct site, the
+/// one an os-fork death report names (a no-op on the other backends).
+void note_site(const char* site);
+
 /// Wrap-safe: true when episode stamp `v` has reached episode `ep`.
 constexpr bool episode_reached(std::uint32_t v, std::uint32_t ep) {
   return static_cast<std::int32_t>(v - ep) >= 0;
@@ -55,15 +62,34 @@ struct WaitWord {
   /// Publishes `v`, waking the parked waiters if there are any.
   void store(std::uint32_t v);
 
-  /// Waits until `pred(value)` holds; returns the value that satisfied it.
+  /// Wakes the waiters of await() after their condition became true; only
+  /// a fence and a load when nobody is parked.
+  void notify();
+
+  /// Waits until `ready()` holds. A waiter about to park counts itself a
+  /// sleeper first and then re-checks `ready()`, so a store() or notify()
+  /// that raced the check either sees the sleeper or is seen by it.
   /// `site` (may be null) is noted as the process's last-known site.
+  template <typename Ready>
+  void await(Ready ready, const char* site = nullptr) {
+    for (int round = 0; !ready(); ++round) {
+      if (spin_pause(round)) continue;
+      if (on_fiber()) {  // yields: no wake to ask for
+        park_on(value, value.load(std::memory_order_acquire));
+        continue;
+      }
+      const std::uint32_t seen = value.load(std::memory_order_seq_cst);
+      const Sleeper sleeper(*this, site);
+      if (!ready()) park_on(value, seen);
+    }
+  }
+
+  /// Waits until `pred(value)` holds; returns the value that satisfied it.
   template <typename Pred>
   std::uint32_t wait_until(Pred pred, const char* site = nullptr) {
-    for (int round = 0;; ++round) {
-      const std::uint32_t v = value.load(std::memory_order_acquire);
-      if (pred(v)) return v;
-      if (!spin_pause(round)) sleep(v, site);
-    }
+    std::uint32_t v = 0;
+    await([&] { return pred(v = load()); }, site);
+    return v;
   }
 
   /// Waits until the stamp has reached episode `ep`.
@@ -72,7 +98,14 @@ struct WaitWord {
   }
 
  private:
-  void sleep(std::uint32_t seen, const char* site);
+  /// Counts one parking waiter for its scope (also when park_on throws).
+  struct Sleeper {
+    Sleeper(WaitWord& w, const char* site);
+    ~Sleeper();
+    Sleeper(const Sleeper&) = delete;
+    Sleeper& operator=(const Sleeper&) = delete;
+    WaitWord& word;
+  };
 };
 
 }  // namespace force::machdep

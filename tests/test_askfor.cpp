@@ -9,6 +9,7 @@
 
 #include "core/askfor.hpp"
 #include "core/env.hpp"
+#include "core/force.hpp"
 
 namespace fc = force::core;
 
@@ -30,8 +31,8 @@ void on_team(int np, const std::function<void(int)>& fn) {
 
 TEST(AskforCore, DrainsSeededWork) {
   fc::ForceEnvironment env(test_config(1));
-  fc::AskforCore core(env);
-  for (std::size_t t = 0; t < 5; ++t) core.put(t);
+  fc::AskforCore core(env, sizeof(std::size_t));
+  for (std::size_t t = 0; t < 5; ++t) core.put(&t);
   std::size_t token = 0;
   std::set<std::size_t> got;
   while (core.ask(&token) == fc::AskforCore::Outcome::kWork) {
@@ -46,27 +47,29 @@ TEST(AskforCore, DrainsSeededWork) {
 TEST(AskforCore, DrainIsProvisionalProbendIsSticky) {
   for (const char* dispatch : {"auto", "locked"}) {
     fc::ForceEnvironment env(test_config(1, "native", dispatch));
-    fc::AskforCore core(env);
+    fc::AskforCore core(env, sizeof(std::size_t));
     std::size_t token = 0;
     // An empty monitor drains immediately...
     EXPECT_EQ(core.ask(&token), fc::AskforCore::Outcome::kDone);
     // ...but a drain is provisional: a seed put behind it re-opens the
     // monitor instead of vanishing (on a hot pooled team the first
     // asker's drained latch can genuinely beat the leader's seed).
-    core.put(99);
+    const std::size_t seed = 99;
+    core.put(&seed);
     ASSERT_EQ(core.ask(&token), fc::AskforCore::Outcome::kWork) << dispatch;
     EXPECT_EQ(token, 99u);
     core.complete();
     // probend() is final for the episode: later puts drop, as ever.
     core.probend();
-    core.put(7);
+    const std::size_t late = 7;
+    core.put(&late);
     EXPECT_EQ(core.ask(&token), fc::AskforCore::Outcome::kDone) << dispatch;
   }
 }
 
 TEST(AskforCore, CompleteWithoutGrantThrows) {
   fc::ForceEnvironment env(test_config(1));
-  fc::AskforCore core(env);
+  fc::AskforCore core(env, sizeof(std::size_t));
   EXPECT_THROW(core.complete(), force::util::CheckError);
 }
 
@@ -74,8 +77,9 @@ TEST(AskforCore, WaitsWhileAWorkerMightProduce) {
   // One worker holds a task; a second asker must wait (not get kDone)
   // until the worker either puts more work or completes.
   fc::ForceEnvironment env(test_config(2));
-  fc::AskforCore core(env);
-  core.put(1);
+  fc::AskforCore core(env, sizeof(std::size_t));
+  const std::size_t first = 1;
+  core.put(&first);
   std::size_t token = 0;
   ASSERT_EQ(core.ask(&token), fc::AskforCore::Outcome::kWork);
 
@@ -89,7 +93,8 @@ TEST(AskforCore, WaitsWhileAWorkerMightProduce) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_returned.load());  // still waiting: we might put()
-  core.put(2);                           // we do produce more work
+  const std::size_t second = 2;
+  core.put(&second);                     // we do produce more work
   asker.join();
   EXPECT_EQ(second_outcome.load(),
             static_cast<int>(fc::AskforCore::Outcome::kWork));
@@ -253,4 +258,94 @@ TEST(Askfor, WorksOnEveryMachineModel) {
     });
     EXPECT_EQ(sum.load(), 820) << machine;
   }
+}
+
+TEST(Askfor, AnonymousMonitorsShareNoState) {
+  // Two monitors built without a key get distinct anonymous sites, on
+  // the thread backend and over the os-fork arena alike.
+  for (const char* model : {"machine", "os-fork"}) {
+    fc::ForceConfig cfg = test_config(1);
+    cfg.process_model = model;
+    fc::ForceEnvironment env(cfg);
+    fc::Askfor<int> a(env);
+    fc::Askfor<int> b(env);
+    a.put(1);
+    b.put(2);
+    std::vector<int> from_a;
+    std::vector<int> from_b;
+    a.work([&](int& t, fc::Askfor<int>&) { from_a.push_back(t); });
+    b.work([&](int& t, fc::Askfor<int>&) { from_b.push_back(t); });
+    EXPECT_EQ(from_a, std::vector<int>{1}) << model;
+    EXPECT_EQ(from_b, std::vector<int>{2}) << model;
+  }
+}
+
+TEST(Askfor, RingOverflowNamesTheSiteAndCapacity) {
+  // Seeds from an unregistered thread go to the central ring on both
+  // engines; one more than it holds is a checked error naming the site
+  // and the capacity, and the monitor still drains what it accepted.
+  constexpr std::uint32_t kCap = fc::AskforCore::kRingCapacity;
+  for (const char* dispatch : {"auto", "locked"}) {
+    fc::ForceEnvironment env(test_config(1, "native", dispatch));
+    fc::Askfor<std::uint32_t> monitor(env, "overflow-site");
+    for (std::uint32_t i = 0; i < kCap; ++i) monitor.put(i);
+    try {
+      monitor.put(kCap);
+      FAIL() << dispatch << ": a full ring must reject the put";
+    } catch (const force::util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'overflow-site'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(kCap)), std::string::npos) << what;
+    }
+    std::uint64_t sum = 0;
+    EXPECT_EQ(monitor.work([&](std::uint32_t& t, fc::Askfor<std::uint32_t>&) {
+      sum += t;
+    }), kCap) << dispatch;
+    EXPECT_EQ(sum, std::uint64_t{kCap} * (kCap - 1) / 2) << dispatch;
+  }
+}
+
+namespace {
+/// A task that is not trivially copyable and counts its live instances.
+struct CountedTask {
+  static inline std::atomic<int> live{0};
+  int value;
+  explicit CountedTask(int v) : value(v) { live.fetch_add(1); }
+  CountedTask(const CountedTask& o) : value(o.value) { live.fetch_add(1); }
+  CountedTask(CountedTask&& o) noexcept : value(o.value) { live.fetch_add(1); }
+  CountedTask& operator=(const CountedTask&) = default;
+  ~CountedTask() { live.fetch_sub(1); }
+};
+}  // namespace
+
+TEST(Askfor, NonTrivialTaskStoreIsReleasedAcrossForceEntries) {
+  // A non-trivially-copyable task type lives in a process-local store;
+  // each force entry must release the last entry's tasks instead of
+  // growing the store forever (respawned and pooled teams alike).
+  constexpr int kRuns = 60;
+  constexpr int kPerRun = 200;
+  for (const bool pooled : {false, true}) {
+    fc::ForceConfig cfg = test_config(4);
+    cfg.team_pool = pooled;
+    force::Force f(cfg);
+    std::atomic<std::int64_t> sum{0};
+    for (int run = 0; run < kRuns; ++run) {
+      sum = 0;
+      f.run([&](fc::Ctx& ctx) {
+        auto& af = ctx.askfor<CountedTask>(FORCE_SITE);
+        if (ctx.leader()) {
+          for (int i = 1; i <= kPerRun; ++i) af.put(CountedTask(i));
+        }
+        ctx.barrier();
+        af.work([&](CountedTask& t, fc::Askfor<CountedTask>&) {
+          sum.fetch_add(t.value);
+        });
+      });
+      ASSERT_EQ(sum.load(), kPerRun * (kPerRun + 1) / 2)
+          << "pooled=" << pooled << " run " << run;
+      ASSERT_LE(CountedTask::live.load(), kPerRun)
+          << "pooled=" << pooled << " run " << run;
+    }
+  }
+  EXPECT_EQ(CountedTask::live.load(), 0);
 }

@@ -159,8 +159,21 @@ INSTANTIATE_TEST_SUITE_P(Engines, DispatchCounterBothEngines,
 
 // --- StealDeque ------------------------------------------------------------------
 
-TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
+namespace {
+/// A StealDeque of size_t records over its own cells.
+struct WordDeque {
   fm::StealDeque dq;
+  std::vector<fm::RecordWord> words =
+      std::vector<fm::RecordWord>(fm::StealDeque::kCapacity);
+  fm::StealDeque::Cells cells() { return {words.data(), sizeof(std::size_t)}; }
+  bool push(std::size_t v) { return dq.push(cells(), &v); }
+  bool pop(std::size_t* v) { return dq.pop(cells(), v); }
+  bool steal(std::size_t* v) { return dq.steal(cells(), v); }
+};
+}  // namespace
+
+TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
+  WordDeque dq;
   for (std::size_t v = 1; v <= 4; ++v) EXPECT_TRUE(dq.push(v));
   std::size_t v = 0;
   EXPECT_TRUE(dq.steal(&v));
@@ -176,7 +189,7 @@ TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
 }
 
 TEST(StealDeque, BoundedPushReportsFull) {
-  fm::StealDeque dq;
+  WordDeque dq;
   for (std::size_t v = 0; v < fm::StealDeque::kCapacity; ++v) {
     EXPECT_TRUE(dq.push(v));
   }
@@ -190,7 +203,7 @@ TEST(StealDeque, BoundedPushReportsFull) {
 TEST(StealDeque, ConcurrentOwnerAndThievesLoseNothing) {
   // One owner interleaving push/pop with three thieves: every pushed
   // value is consumed exactly once across pops and steals.
-  fm::StealDeque dq;
+  WordDeque dq;
   constexpr std::size_t kValues = 20000;
   std::mutex m;
   std::multiset<std::size_t> consumed;
@@ -315,10 +328,10 @@ TEST(DispatchLockAccounting, AskforLockedEngineKeepsSeedTraffic) {
   // drained probe and complete are one monitor pass each - deterministic,
   // exactly the seed's counts.
   fc::ForceEnvironment env(test_config(1, "sequent"));
-  fc::AskforCore core(env);
+  fc::AskforCore core(env, sizeof(std::size_t));
   EXPECT_FALSE(core.lock_free());
   const auto before = fm::snapshot(env.machine().counters());
-  for (std::size_t t = 0; t < 5; ++t) core.put(t);
+  for (std::size_t t = 0; t < 5; ++t) core.put(&t);
   std::size_t token = 0;
   while (core.ask(&token) == fc::AskforCore::Outcome::kWork) {
     core.complete();

@@ -419,6 +419,39 @@ TEST(ForkDeath, SigkillMidAskforIsReportedAndDoesNotHang) {
   } catch (const md::ProcessDeathError& e) {
     EXPECT_EQ(e.process(), 3);
     EXPECT_EQ(e.term_signal(), SIGKILL);
+    EXPECT_NE(e.site().find("askfor"), std::string::npos) << e.site();
+  }
+  EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
+}
+
+// A seeder overflowing the central ring fails with the site and the
+// capacity in the death report; its siblings, parked at the barrier, are
+// released by team poison instead of hanging.
+TEST(ForkDeath, AskforRingOverflowNamesTheSiteAndDoesNotHang) {
+  force::Force f(fork_config());
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    f.run([](core::Ctx& ctx) {
+      auto& af = ctx.askfor<std::int64_t>(FORCE_SITE_TAGGED("overflow"));
+      if (ctx.leader()) {
+        for (std::int64_t i = 0; i <= core::AskforCore::kRingCapacity; ++i) {
+          af.put(i);
+        }
+      }
+      ctx.barrier();
+    });
+    FAIL() << "overflowing the askfor ring must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 1);
+    // The site: "askfor '<file>:<line>...overflow'".
+    EXPECT_NE(e.error_text().find("askfor '"), std::string::npos)
+        << e.error_text();
+    EXPECT_NE(e.error_text().find("overflow'"), std::string::npos)
+        << e.error_text();
+    EXPECT_NE(e.error_text().find(
+                  std::to_string(core::AskforCore::kRingCapacity)),
+              std::string::npos)
+        << e.error_text();
   }
   EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
 }

@@ -319,12 +319,19 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
 // hold the survivors' contributions. A death while a sibling is parked in
 // consume() leaves the other producers' async cells full with values of
 // the dead run - E/F lock words on a two-lock machine, tagged cells in site
-// state on the HEP. The death scrub resets all of it by name prefix (every
-// async cell restarts empty), so the next run of the same program on a
-// re-forked team completes and matches the sequential result.
+// state on the HEP. A death inside an askfor body leaves a granted task
+// uncompleted and the rest of the tree queued - in the steal deques on
+// native, in the central ring on the HEP. The death scrub resets all of it
+// by name prefix (every async cell restarts empty), so the next run of the
+// same program on a re-forked team completes, matches the sequential
+// result and drains every askfor task exactly once.
 TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
   constexpr std::int64_t kTrips = 200;
   constexpr std::int64_t kSequential = kTrips * (kTrips + 1) / 2;
+  // Askfor tasks are the nodes 1..kNodes of a heap-numbered binary tree,
+  // expanded by the workers themselves.
+  constexpr std::int64_t kNodes = 255;
+  constexpr std::int64_t kNodeSum = kNodes * (kNodes + 1) / 2;
   // Handed-over values carry their run's number above this tag, so a value
   // left over from an earlier run cannot pass for a current one.
   constexpr std::int64_t kRunTag = std::int64_t{1} << 32;
@@ -332,7 +339,8 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
     kNoKill = 0,
     kInDoallBody = 1,
     kBeforeReduce = 2,
-    kWhileConsumerParked = 3
+    kWhileConsumerParked = 3,
+    kInAskforBody = 4
   };
   struct Case {
     const char* machine;
@@ -340,8 +348,9 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
   };
   const auto t0 = std::chrono::steady_clock::now();
   for (const Case& c :
-       {Case{"native", {kInDoallBody, kBeforeReduce, kWhileConsumerParked}},
-        Case{"hep", {kWhileConsumerParked}}}) {
+       {Case{"native", {kInDoallBody, kBeforeReduce, kWhileConsumerParked,
+                        kInAskforBody}},
+        Case{"hep", {kWhileConsumerParked, kInAskforBody}}}) {
     force::ForceConfig cfg = fork_pool_config();
     cfg.machine = c.machine;
     force::Force f(cfg);
@@ -349,6 +358,8 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
     auto& run = f.shared<std::int64_t>("run");
     auto& total = f.shared<std::int64_t>("total");
     auto& handed = f.shared<std::int64_t>("handed");
+    auto& nodes = f.shared<std::int64_t>("nodes");
+    auto& node_sum = f.shared<std::int64_t>("node_sum");
     const auto program = [&](core::Ctx& ctx) {
       std::int64_t mine = 0;
       ctx.selfsched_do(FORCE_SITE, 1, kTrips, 1, [&](std::int64_t i) {
@@ -378,6 +389,26 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
         cells[static_cast<std::size_t>(ctx.me() - 2)].produce(run * kRunTag +
                                                               mine);
       }
+      // Tasks carry their run's tag, so a task left over from the dead
+      // run cannot pass for a current one.
+      auto& af = ctx.askfor<std::int64_t>(FORCE_SITE);
+      if (ctx.leader()) af.put(run * kRunTag + 1);
+      ctx.barrier();
+      std::int64_t my_nodes = 0;
+      std::int64_t my_sum = 0;
+      af.work([&](std::int64_t& task, core::Askfor<std::int64_t>& self) {
+        const std::int64_t node = task - run * kRunTag;
+        if (kill_at == kInAskforBody && node == kNodes / 2) raise(SIGKILL);
+        for (const std::int64_t child : {2 * node, 2 * node + 1}) {
+          if (child <= kNodes) self.put(run * kRunTag + child);
+        }
+        ++my_nodes;
+        my_sum += node;
+      });
+      const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
+      ctx.reduce_into<std::int64_t>(FORCE_SITE, my_nodes, nodes, plus);
+      ctx.reduce_into<std::int64_t>(FORCE_SITE_TAGGED("sum"), my_sum,
+                                    node_sum, plus);
       ctx.barrier();
     };
 
@@ -385,11 +416,17 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
       kill_at = kNoKill;
       total = 0;
       handed = 0;
+      nodes = 0;
+      node_sum = 0;
       ++run;
       f.run(program);
       EXPECT_EQ(total, kSequential)
           << c.machine << ": clean run before site " << victim_site;
       EXPECT_EQ(handed, kSequential)
+          << c.machine << ": clean run before site " << victim_site;
+      EXPECT_EQ(nodes, kNodes)
+          << c.machine << ": clean run before site " << victim_site;
+      EXPECT_EQ(node_sum, kNodeSum)
           << c.machine << ": clean run before site " << victim_site;
 
       kill_at = victim_site;
@@ -401,11 +438,17 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
       kill_at = kNoKill;
       total = 0;
       handed = 0;
+      nodes = 0;
+      node_sum = 0;
       ++run;
       f.run(program);
       EXPECT_EQ(total, kSequential)
           << c.machine << ": run after a death at site " << victim_site;
       EXPECT_EQ(handed, kSequential)
+          << c.machine << ": run after a death at site " << victim_site;
+      EXPECT_EQ(nodes, kNodes)
+          << c.machine << ": run after a death at site " << victim_site;
+      EXPECT_EQ(node_sum, kNodeSum)
           << c.machine << ": run after a death at site " << victim_site;
       EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
     }
