@@ -6,8 +6,10 @@
 // counter/sense and log-depth algorithms.
 //
 // Reproduction: wall time per episode for each algorithm over a force-size
-// sweep, plus the lock traffic of the lock-only barrier and its simulated
-// cost per machine. Shapes to observe: the lock barrier's traffic grows
+// sweep, on both process models' memory - a thread environment's heap
+// words and an os-fork environment's MAP_SHARED arena words (driven by
+// threads here: the futex waits are process-shared either way) - plus the
+// lock traffic of the lock-only barrier and its simulated cost per machine. Shapes to observe: the lock barrier's traffic grows
 // linearly with NP and is serialized; tree/dissemination costs grow
 // logarithmically (visible in their signal counts).
 #include <bit>
@@ -48,18 +50,21 @@ int main(int argc, char** argv) {
       "timeshare the container CPU), plus deterministic lock-op counts.");
 
   force::util::Table wall_table(
-      {"algorithm", "np", "episodes/s", "ns/episode"});
+      {"algorithm", "process model", "np", "episodes/s", "ns/episode"});
   for (const auto& algorithm : fc::barrier_algorithm_names()) {
-    for (int np : nprocs) {
-      fc::ForceConfig cfg;
-      cfg.nproc = np;
-      fc::ForceEnvironment env(cfg);
-      auto barrier = fc::make_barrier_algorithm(algorithm, env, np);
-      const double eps = episodes_per_second(*barrier, np, episodes);
-      wall_table.add_row({algorithm,
-                          force::util::Table::num(static_cast<std::int64_t>(np)),
-                          force::util::Table::num(eps),
-                          force::util::Table::num(1e9 / eps)});
+    for (const char* model : {"thread", "os-fork"}) {
+      for (int np : nprocs) {
+        fc::ForceConfig cfg;
+        cfg.nproc = np;
+        cfg.process_model = model;
+        fc::ForceEnvironment env(cfg);
+        auto barrier = fc::make_barrier_algorithm(algorithm, env, np);
+        const double eps = episodes_per_second(*barrier, np, episodes);
+        wall_table.add_row(
+            {algorithm, model,
+             force::util::Table::num(static_cast<std::int64_t>(np)),
+             force::util::Table::num(eps), force::util::Table::num(1e9 / eps)});
+      }
     }
   }
   std::fputs(wall_table.render().c_str(), stdout);
@@ -77,7 +82,7 @@ int main(int argc, char** argv) {
     cfg.nproc = np;
     cfg.machine = "native";
     fc::ForceEnvironment env(cfg);
-    fc::PaperLockBarrier barrier(env, np);
+    fc::PaperLockBarrier barrier(env, np, "");
     const auto before = force::machdep::snapshot(env.machine().counters());
     constexpr int kEpisodes = 64;
     force::bench::on_team(np, [&](int me) {

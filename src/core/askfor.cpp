@@ -72,7 +72,7 @@ struct alignas(64) AskforCore::Slot {
 AskforCore::AskforCore(ForceEnvironment& env, std::size_t task_bytes,
                        const std::string& key)
     : env_(env),
-      site_(key.empty() ? env.anonymous_site_key() : key),
+      site_(env.site_key_or_anonymous(key)),
       label_("askfor '" + site_ + "'"),
       bytes_(task_bytes),
       nslots_(env.lock_free_dispatch() ? env.nproc() : 0),

@@ -184,7 +184,7 @@ class Askfor {
  public:
   explicit Askfor(ForceEnvironment& env, const std::string& key = "")
       : env_(&env) {
-    const std::string site = key.empty() ? env.anonymous_site_key() : key;
+    const std::string site = env.site_key_or_anonymous(key);
     if constexpr (kByValue) {
       ring_ = env.backend().make_askfor_ring(site, sizeof(T));
     } else {

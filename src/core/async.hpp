@@ -64,7 +64,7 @@ class Async {
   explicit Async(ForceEnvironment& env, const std::string& key = "")
       : env_(&env),
         sentry_(env.sentry()),
-        label_(key.empty() ? env.anonymous_site_key() : key) {
+        label_(env.site_key_or_anonymous(key)) {
     if constexpr (std::is_trivially_copyable_v<T>) {
       // The cluster engine keeps the cell on the coordinator; the payload
       // crosses by memcpy.
@@ -306,7 +306,7 @@ class AsyncArray {
  public:
   AsyncArray(ForceEnvironment& env, std::size_t n,
              const std::string& key = "") {
-    const std::string label = key.empty() ? env.anonymous_site_key() : key;
+    const std::string label = env.site_key_or_anonymous(key);
     slots_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       slots_.push_back(std::make_unique<Async<T>>(

@@ -12,32 +12,42 @@ const std::function<void()>& BarrierAlgorithm::no_section() {
   return kEmpty;
 }
 
+BarrierAlgorithm::BarrierAlgorithm(int width, std::string site)
+    : width_(width), site_(std::move(site)), label_("barrier '" + site_ + "'") {
+  FORCE_CHECK(width_ > 0, "barrier width must be positive");
+}
+
+void BarrierAlgorithm::arrive(int proc0, const std::function<void()>& section) {
+  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
+  run_episode(proc0, section);
+}
+
 // ---------------------------------------------------------------------------
 // PaperLockBarrier: the reusable two-turnstile barrier built exclusively
 // from generic Force locks (binary semaphores) - the construction available
 // on every 1989 machine. The barrier section runs in the last arriver,
 // which holds the entry mutex, so all other processes are provably parked
-// before turnstile 1.
+// before turnstile 1. The lock labels key the locks' arena words and are
+// the site a process parked on one reports, so they name the barrier.
 // ---------------------------------------------------------------------------
 
-PaperLockBarrier::PaperLockBarrier(ForceEnvironment& env, int width)
-    : width_(width),
-      mutex_(env.new_lock(machdep::LockRole::kMutex, "barrier.mutex")),
+PaperLockBarrier::PaperLockBarrier(ForceEnvironment& env, int width,
+                                   const std::string& key)
+    : BarrierAlgorithm(width, env.site_key_or_anonymous(key)),
+      count_(&env.site_state<int>("barrier/" + site_)),
+      mutex_(env.new_lock(machdep::LockRole::kMutex, label_ + ".mutex")),
       // The phase-1 gate starts closed.
       turnstile1_(env.new_lock(machdep::LockRole::kSemaphore,
-                               "barrier.turnstile1", /*held=*/true)),
+                               label_ + ".turnstile1", /*held=*/true)),
       turnstile2_(env.new_lock(machdep::LockRole::kSemaphore,
-                               "barrier.turnstile2")) {
-  FORCE_CHECK(width_ > 0, "barrier width must be positive");
-}
+                               label_ + ".turnstile2")) {}
 
-void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
-  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
+void PaperLockBarrier::run_episode(int /*proc0*/,
+                                   const std::function<void()>& section) {
   // Phase 1: count arrivals; the last arriver re-arms the phase-2 gate,
   // runs the barrier section and opens the phase-1 gate.
   mutex_->acquire();
-  ++count_;
-  if (count_ == width_) {
+  if (++*count_ == width_) {
     turnstile2_->acquire();
     run_section(section);
     turnstile1_->release();
@@ -49,8 +59,7 @@ void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
   // Phase 2: count departures; the last process out re-arms the phase-1
   // gate and opens phase 2, making the barrier safely reusable.
   mutex_->acquire();
-  --count_;
-  if (count_ == 0) {
+  if (--*count_ == 0) {
     turnstile1_->acquire();
     turnstile2_->release();
   }
@@ -65,16 +74,11 @@ void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
 
 CentralSenseBarrier::CentralSenseBarrier(ForceEnvironment& env, int width,
                                          const std::string& key)
-    : width_(width) {
-  FORCE_CHECK(width_ > 0, "barrier width must be positive");
-  const std::string site = key.empty() ? env.anonymous_site_key() : key;
-  state_ = &env.site_state<State>("barrier/" + site);
-  label_ = "barrier '" + site + "'";
-}
+    : BarrierAlgorithm(width, env.site_key_or_anonymous(key)),
+      state_(&env.site_state<State>("barrier/" + site_)) {}
 
-void CentralSenseBarrier::arrive(int proc0,
-                                 const std::function<void()>& section) {
-  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
+void CentralSenseBarrier::run_episode(int /*proc0*/,
+                                      const std::function<void()>& section) {
   State& st = *state_;
   // Read before counting in: this episode cannot end without this arrival.
   const std::uint32_t ep = st.episode.load();
@@ -98,13 +102,16 @@ void CentralSenseBarrier::arrive(int proc0,
 // the champion, runs the section, and publishes the release stamp.
 // ---------------------------------------------------------------------------
 
-TreeBarrier::TreeBarrier(int width) : width_(width), slots_(width) {
-  FORCE_CHECK(width_ > 0, "barrier width must be positive");
+TreeBarrier::TreeBarrier(ForceEnvironment& env, int width,
+                         const std::string& key)
+    : BarrierAlgorithm(width, env.site_key_or_anonymous(key)) {
+  state_ = &env.site_state<State>("barrier/" + site_,
+                                  static_cast<std::size_t>(width), slots_);
 }
 
-void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
-  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
-  Slot& me = slots_[static_cast<std::size_t>(proc0)];
+void TreeBarrier::run_episode(int proc0,
+                              const std::function<void()>& section) {
+  Slot& me = slots_[proc0];
   const std::uint32_t ep = ++me.episode;
 
   for (int r = 0; (1 << r) < width_; ++r) {
@@ -112,7 +119,7 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
     if (proc0 % span == 0) {
       const int child = proc0 + (1 << r);
       if (child < width_) {
-        slots_[static_cast<std::size_t>(child)].arrival.wait_episode(ep);
+        slots_[child].arrival.wait_episode(ep, label_.c_str());
       }
     } else {
       // Subtree fully combined (rounds 0..r-1 won); report and stop.
@@ -123,9 +130,9 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
 
   if (proc0 == 0) {
     run_section(section);
-    release_.store(ep);
+    state_->release.store(ep);
   } else {
-    release_.wait_episode(ep);
+    state_->release.wait_episode(ep, label_.c_str());
   }
 }
 
@@ -133,39 +140,37 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
 // DisseminationBarrier
 // ---------------------------------------------------------------------------
 
-DisseminationBarrier::DisseminationBarrier(int width)
-    : width_(width),
+DisseminationBarrier::DisseminationBarrier(ForceEnvironment& env, int width,
+                                           const std::string& key)
+    : BarrierAlgorithm(width, env.site_key_or_anonymous(key)),
       rounds_(width > 1 ? std::bit_width(static_cast<unsigned>(width - 1))
-                        : 0),
-      flags_(static_cast<std::size_t>(width) *
-             static_cast<std::size_t>(rounds_ == 0 ? 1 : rounds_)),
-      episode_(static_cast<std::size_t>(width)) {
-  FORCE_CHECK(width_ > 0, "barrier width must be positive");
+                        : 0) {
+  const auto lines = static_cast<std::size_t>(width * rounds_);
+  state_ = &env.site_state<State>("barrier/" + site_,
+                                  lines + static_cast<std::size_t>(width),
+                                  flags_);
+  episodes_ = flags_ + lines;
 }
 
-void DisseminationBarrier::arrive(int proc0,
-                                  const std::function<void()>& section) {
-  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
-  const std::uint32_t ep = ++episode_[static_cast<std::size_t>(proc0)].value;
-  const auto stride = static_cast<std::size_t>(rounds_ == 0 ? 1 : rounds_);
+void DisseminationBarrier::run_episode(int proc0,
+                                       const std::function<void()>& section) {
+  std::atomic<std::uint32_t>& mine = episodes_[proc0].value;
+  const std::uint32_t ep = mine.load(std::memory_order_relaxed) + 1;
+  mine.store(ep, std::memory_order_relaxed);
 
   for (int r = 0; r < rounds_; ++r) {
     const int dest = (proc0 + (1 << r)) % width_;
-    flags_[static_cast<std::size_t>(dest) * stride +
-           static_cast<std::size_t>(r)]
-        .store(ep);
-    flags_[static_cast<std::size_t>(proc0) * stride +
-           static_cast<std::size_t>(r)]
-        .wait_episode(ep);
+    flags_[dest * rounds_ + r].store(ep);
+    flags_[proc0 * rounds_ + r].wait_episode(ep, label_.c_str());
   }
 
   if (has_section(section)) {
     // No natural champion: rank 0 runs the section behind one extra flag.
     if (proc0 == 0) {
       section();
-      section_done_.store(ep);
+      state_->section_done.store(ep);
     } else {
-      section_done_.wait_episode(ep);
+      state_->section_done.wait_episode(ep, label_.c_str());
     }
   }
 }
@@ -174,15 +179,14 @@ void DisseminationBarrier::arrive(int proc0,
 // EngineBarrier
 // ---------------------------------------------------------------------------
 
-EngineBarrier::EngineBarrier(int width,
+EngineBarrier::EngineBarrier(int width, const std::string& key,
                              std::unique_ptr<machdep::BarrierEngine> engine)
-    : width_(width), engine_(std::move(engine)) {
-  FORCE_CHECK(width_ > 0, "barrier width must be positive");
+    : BarrierAlgorithm(width, key), engine_(std::move(engine)) {
   FORCE_CHECK(engine_ != nullptr, "EngineBarrier needs a barrier engine");
 }
 
-void EngineBarrier::arrive(int proc0, const std::function<void()>& section) {
-  FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
+void EngineBarrier::run_episode(int proc0,
+                                const std::function<void()>& section) {
   engine_->arrive(proc0, has_section(section) ? &section : nullptr);
 }
 
@@ -198,12 +202,12 @@ std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
     const std::string& name, ForceEnvironment& env, int width,
     const std::string& key) {
   if (name == "paper-lock")
-    return std::make_unique<PaperLockBarrier>(env, width);
+    return std::make_unique<PaperLockBarrier>(env, width, key);
   if (name == "central-sense")
     return std::make_unique<CentralSenseBarrier>(env, width, key);
-  if (name == "tree") return std::make_unique<TreeBarrier>(width);
+  if (name == "tree") return std::make_unique<TreeBarrier>(env, width, key);
   if (name == "dissemination")
-    return std::make_unique<DisseminationBarrier>(width);
+    return std::make_unique<DisseminationBarrier>(env, width, key);
   FORCE_CHECK(false, "unknown barrier algorithm: " + name);
 }
 

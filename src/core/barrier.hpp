@@ -16,10 +16,10 @@
 //                     champion, so the section costs one extra mini-phase).
 //
 // All algorithms implement the same interface and all support sections, so
-// bench E2 can sweep them under identical workloads. Every wait is on a
-// machdep::WaitWord. central-sense keeps its words in site state, so it is
-// also the barrier of every site under os-fork (name observers see
-// "central-sense" there); the cluster backend brings its own engine.
+// bench E2 can sweep them under identical workloads. Each keeps its words
+// in site state at "barrier/<key>" and takes its locks from the
+// environment, so it runs unchanged under threads and os-fork, and every
+// wait names "barrier '<key>'". Only the cluster brings its own engine.
 #pragma once
 
 #include <atomic>
@@ -44,20 +44,23 @@ class BarrierAlgorithm {
 
   /// Waits for all processes; `section` (may be empty) runs exactly once
   /// per episode, by exactly one process, while the others are suspended.
-  virtual void arrive(int proc0, const std::function<void()>& section) = 0;
+  void arrive(int proc0, const std::function<void()>& section);
   void arrive(int proc0) { arrive(proc0, no_section()); }
 
-  /// The canonical empty barrier section. The no-section overload used to
-  /// materialize a fresh std::function temporary from nullptr at every
-  /// call; all no-section arrivals now share this one empty instance, and
-  /// every algorithm routes through run_section()/has_section() below so
-  /// the emptiness check lives in exactly one place.
+  /// The empty barrier section every no-section arrival shares; every
+  /// algorithm tests a section through run_section()/has_section() below.
   static const std::function<void()>& no_section();
 
   [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual int width() const = 0;
+  [[nodiscard]] int width() const { return width_; }
 
  protected:
+  /// `site` keys the barrier's state.
+  BarrierAlgorithm(int width, std::string site);
+  /// One episode for an in-range `proc0`.
+  virtual void run_episode(int proc0,
+                           const std::function<void()>& section) = 0;
+
   /// Runs `section` iff it has a target; never throws on an empty one.
   static void run_section(const std::function<void()>& section) {
     if (section) section();
@@ -65,6 +68,10 @@ class BarrierAlgorithm {
   static bool has_section(const std::function<void()>& section) {
     return static_cast<bool>(section);
   }
+
+  const int width_;
+  const std::string site_;
+  const std::string label_;  // "barrier '<site>'": a parked process's site
 };
 
 /// The lock-only barrier: mutex lock + two turnstile locks + counter, the
@@ -72,15 +79,12 @@ class BarrierAlgorithm {
 /// ZZNBAR environment variables in the paper's macro expansion).
 class PaperLockBarrier final : public BarrierAlgorithm {
  public:
-  using BarrierAlgorithm::arrive;
-  PaperLockBarrier(ForceEnvironment& env, int width);
-  void arrive(int proc0, const std::function<void()>& section) override;
+  PaperLockBarrier(ForceEnvironment& env, int width, const std::string& key);
   const char* name() const override { return "paper-lock"; }
-  int width() const override { return width_; }
 
  private:
-  int width_;
-  int count_ = 0;  // guarded by *mutex_
+  void run_episode(int proc0, const std::function<void()>& section) override;
+  int* count_;  // site state, guarded by *mutex_
   std::unique_ptr<machdep::BasicLock> mutex_;
   std::unique_ptr<machdep::BasicLock> turnstile1_;  // starts locked
   std::unique_ptr<machdep::BasicLock> turnstile2_;  // starts unlocked
@@ -88,17 +92,12 @@ class PaperLockBarrier final : public BarrierAlgorithm {
 
 /// The episode barrier: the width-th arrival runs the section, resets the
 /// count and bumps the episode the others wait on, so no process keeps a
-/// local sense. Both words are site state ("barrier/<key>"): the barrier
-/// spans os-fork children, and a death scrub re-arms it.
+/// local sense.
 class CentralSenseBarrier final : public BarrierAlgorithm {
  public:
-  using BarrierAlgorithm::arrive;
-  /// An empty `key` makes an anonymous site.
   CentralSenseBarrier(ForceEnvironment& env, int width,
                       const std::string& key);
-  void arrive(int proc0, const std::function<void()>& section) override;
   const char* name() const override { return "central-sense"; }
-  int width() const override { return width_; }
 
   /// The barrier's shared words; all-zero is a fresh barrier.
   struct State {
@@ -107,31 +106,30 @@ class CentralSenseBarrier final : public BarrierAlgorithm {
   };
 
  private:
-  int width_;
+  void run_episode(int proc0, const std::function<void()>& section) override;
   State* state_;
-  std::string label_;  // last-known site of a parked os-fork process
 };
 
 /// Binary combining tree: arrivals propagate up; the root (champion) runs
-/// the section and flips the global sense.
+/// the section and publishes the release stamp.
 class TreeBarrier final : public BarrierAlgorithm {
  public:
-  using BarrierAlgorithm::arrive;
-  explicit TreeBarrier(int width);
-  void arrive(int proc0, const std::function<void()>& section) override;
+  TreeBarrier(ForceEnvironment& env, int width, const std::string& key);
   const char* name() const override { return "tree"; }
-  int width() const override { return width_; }
 
  private:
-  // One cache line per process: its arrival stamp (read by the parent in
-  // the combining tree) and its private episode counter.
+  void run_episode(int proc0, const std::function<void()>& section) override;
+  // The release stamp, then one cache line per process: its arrival stamp
+  // (read by the parent in the combining tree) and its episode counter.
+  struct State {
+    alignas(64) machdep::WaitWord release;
+  };
   struct alignas(64) Slot {
     machdep::WaitWord arrival;
     std::uint32_t episode = 0;
   };
-  int width_;
-  std::vector<Slot> slots_;
-  machdep::WaitWord release_;
+  State* state_ = nullptr;
+  Slot* slots_ = nullptr;
 };
 
 /// Dissemination barrier: ceil(log2 P) rounds; process i signals
@@ -139,22 +137,23 @@ class TreeBarrier final : public BarrierAlgorithm {
 /// requested, process 0 runs it behind an extra release flag.
 class DisseminationBarrier final : public BarrierAlgorithm {
  public:
-  using BarrierAlgorithm::arrive;
-  explicit DisseminationBarrier(int width);
-  void arrive(int proc0, const std::function<void()>& section) override;
+  DisseminationBarrier(ForceEnvironment& env, int width,
+                       const std::string& key);
   const char* name() const override { return "dissemination"; }
-  int width() const override { return width_; }
 
  private:
-  struct alignas(64) Flag : machdep::WaitWord {};
-  struct alignas(64) Episode {
-    std::uint32_t value = 0;
+  void run_episode(int proc0, const std::function<void()>& section) override;
+  // The section's release stamp, then one cache line per word: the
+  // episode-stamped flags, flags_[proc * rounds_ + round], and after them
+  // each process's episode counter, a line only its owner touches.
+  struct State {
+    alignas(64) machdep::WaitWord section_done;
   };
-  int width_;
+  struct alignas(64) Line : machdep::WaitWord {};
   int rounds_;
-  std::vector<Flag> flags_;  // flags_[proc * rounds_ + round], episode-stamped
-  std::vector<Episode> episode_;  // per-process episode counter
-  machdep::WaitWord section_done_;
+  State* state_ = nullptr;
+  Line* flags_ = nullptr;
+  Line* episodes_ = nullptr;
 };
 
 /// Adapter over the backend's keyed BarrierEngine - the cluster's
@@ -163,22 +162,20 @@ class DisseminationBarrier final : public BarrierAlgorithm {
 /// backend for an engine and wraps it here.
 class EngineBarrier final : public BarrierAlgorithm {
  public:
-  using BarrierAlgorithm::arrive;
-  EngineBarrier(int width, std::unique_ptr<machdep::BarrierEngine> engine);
-  void arrive(int proc0, const std::function<void()>& section) override;
+  EngineBarrier(int width, const std::string& key,
+                std::unique_ptr<machdep::BarrierEngine> engine);
   const char* name() const override { return engine_->name(); }
-  int width() const override { return width_; }
 
  private:
-  int width_;
+  void run_episode(int proc0, const std::function<void()>& section) override;
   std::unique_ptr<machdep::BarrierEngine> engine_;
 };
 
-/// Names accepted by make_barrier / ForceConfig::barrier_algorithm.
+/// Names accepted by make_barrier_algorithm and the config's algorithm.
 std::vector<std::string> barrier_algorithm_names();
 
-/// Factory; throws on unknown names. `key` is the site of central-sense's
-/// state (empty = anonymous).
+/// Factory; throws on unknown names. `key` is the barrier's site (empty =
+/// anonymous).
 std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
     const std::string& name, ForceEnvironment& env, int width,
     const std::string& key = "");

@@ -67,7 +67,7 @@ SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
     : env_(env), width_(width) {
   FORCE_CHECK(width_ > 0, "selfsched loop width must be positive");
-  const std::string site = key.empty() ? env.anonymous_site_key() : key;
+  const std::string site = env.site_key_or_anonymous(key);
   site_ = env.backend().make_doall_site(site, width_);
   if (site_ != nullptr) return;
   shared_ = &env.site_state<Shared>("doall/" + site);

@@ -187,7 +187,8 @@ ForceEnvironment::new_dispatch_counter(std::atomic<std::int64_t>* word,
   return std::make_unique<machdep::DispatchCounter>(std::move(lock), word);
 }
 
-std::string ForceEnvironment::anonymous_site_key() {
+std::string ForceEnvironment::site_key_or_anonymous(const std::string& key) {
+  if (!key.empty()) return key;
   return "anon#" + std::to_string(anonymous_sites_.fetch_add(
                        1, std::memory_order_relaxed));
 }
@@ -220,29 +221,14 @@ BarrierAlgorithm& ForceEnvironment::global_barrier() {
   return *global_barrier_;
 }
 
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(int width) {
-  return make_barrier(width, config_.barrier_algorithm);
-}
-
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
-    int width, const std::string& algorithm) {
-  require(machdep::Capability::kThreadBarrierAlgorithms,
-          "thread barrier algorithms", "");
-  return make_barrier_algorithm(algorithm, *this, width);
-}
-
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_site_barrier(
     int width, const std::string& key) {
   std::unique_ptr<machdep::BarrierEngine> engine =
       backend_->make_team_barrier(width, key);
   if (engine != nullptr) {
-    return std::make_unique<EngineBarrier>(width, std::move(engine));
+    return std::make_unique<EngineBarrier>(width, key, std::move(engine));
   }
-  return make_barrier_algorithm(
-      supports(machdep::Capability::kThreadBarrierAlgorithms)
-          ? config_.barrier_algorithm
-          : "central-sense",
-      *this, width, key);
+  return make_barrier_algorithm(config_.barrier_algorithm, *this, width, key);
 }
 
 util::Xoshiro256 ForceEnvironment::rng_for(int proc0) const {

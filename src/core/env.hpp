@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -182,15 +183,32 @@ class ForceEnvironment {
   /// must be valid when all its bytes are zero.
   template <typename S>
   [[nodiscard]] S& site_state(const std::string& key) {
-    static_assert(std::is_trivially_destructible_v<S>,
-                  "site state is reclaimed as raw bytes");
-    return *static_cast<S*>(backend_->site_state(key, sizeof(S), alignof(S)));
+    S* none = nullptr;
+    return site_state<S, S>(key, 0, none);
   }
 
-  /// A key for a construct built without a site (tests, benches, Pcase's
-  /// internal loop): distinct on every call, so anonymous constructs never
-  /// share site state.
-  [[nodiscard]] std::string anonymous_site_key();
+  /// One S followed by `n` Items (a construct's per-member slots) as one
+  /// site state blob at `key`, on the same terms; `items` is set to the
+  /// first Item.
+  template <typename S, typename Item>
+  [[nodiscard]] S& site_state(const std::string& key, std::size_t n,
+                              Item*& items) {
+    static_assert(std::is_trivially_destructible_v<S> &&
+                      std::is_trivially_destructible_v<Item>,
+                  "site state is reclaimed as raw bytes");
+    constexpr std::size_t at =
+        (sizeof(S) + alignof(Item) - 1) / alignof(Item) * alignof(Item);
+    auto* base = static_cast<std::byte*>(backend_->site_state(
+        key, at + n * sizeof(Item),
+        alignof(S) > alignof(Item) ? alignof(S) : alignof(Item)));
+    items = reinterpret_cast<Item*>(base + at);
+    return *reinterpret_cast<S*>(base);
+  }
+
+  /// `key`, or for a construct built without a site (tests, benches,
+  /// Pcase's internal loop) a fresh anonymous key, distinct on every call
+  /// so anonymous constructs never share site state.
+  [[nodiscard]] std::string site_key_or_anonymous(const std::string& key);
 
   /// The process substrate this environment selected at construction
   /// (ForceConfig::process_model parsed into the enum).
@@ -261,19 +279,10 @@ class ForceEnvironment {
   /// full force; sized to nproc with the configured algorithm.
   [[nodiscard]] BarrierAlgorithm& global_barrier();
 
-  /// Builds a barrier instance for `width` processes with the configured
-  /// (or an explicitly named) algorithm; used by sited barriers and by
-  /// Resolve components. Separate-process backends reject it (callers
-  /// must key a site barrier).
-  std::unique_ptr<BarrierAlgorithm> make_barrier(int width);
-  std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
-                                                 const std::string& algorithm);
-
   /// Barrier for `width` processes at construct key `key`; every process
   /// that resolves the same key meets at the same state. The backend's
-  /// keyed engine where it has one (cluster); the configured algorithm
-  /// where named algorithms run (threads); otherwise the central-sense
-  /// episode barrier over site state (os-fork).
+  /// keyed engine where it has one (cluster), else the configured
+  /// algorithm over site state.
   std::unique_ptr<BarrierAlgorithm> make_site_barrier(int width,
                                                       const std::string& key);
 

@@ -15,12 +15,11 @@
 // and both are reusable across episodes. The ablation bench (E2b in
 // EXPERIMENTS.md) contrasts their traffic.
 //
-// The accumulator lives in site state and the lock and barrier come from
-// the environment, so kCritical runs unchanged under threads and os-fork.
-// kTournament's slots live in process memory, so it runs only where
-// thread barrier algorithms do; elsewhere a request for it runs the
-// critical idiom. Only the cluster backend, which has no shared memory,
-// reduces through a coordinator engine.
+// The accumulator, kTournament's per-process slots and its broadcast word
+// live in site state and the lock and barrier come from the environment,
+// so both strategies run unchanged under threads and os-fork. Only the
+// cluster backend, which has no shared memory, reduces through a
+// coordinator engine.
 #pragma once
 
 #include <cstdint>
@@ -55,29 +54,28 @@ class Reduction {
   /// anonymous site.
   Reduction(ForceEnvironment& env, int width, const std::string& key = "")
       : width_(width) {
-    const std::string site = key.empty() ? env.anonymous_site_key() : key;
+    const std::string site = env.site_key_or_anonymous(key);
+    label_ = "reduce '" + site + "'";
     if constexpr (std::is_trivially_copyable_v<T>) {
       // The cluster engine runs the faithful critical idiom on the
       // coordinator; the payload crosses by memcpy.
       engine_ = env.backend().make_reduction_site(site, width_, sizeof(T),
                                                   alignof(T));
       if (engine_ != nullptr) return;
-      state_ = &env.site_state<State>("reduce/" + site);
+      state_ = &env.site_state<State>("reduce/" + site,
+                                      static_cast<std::size_t>(width), slots_);
     } else {
       // Thread-only (the capability table rejects it elsewhere), so the
       // state may stay process-owned.
       env.require(machdep::Capability::kNonTrivialPayloads,
                   "Reduction payload", key);
       owned_ = std::make_unique<State>();
+      owned_slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(width));
       state_ = owned_.get();
+      slots_ = owned_slots_.get();
     }
     critical_ = std::make_unique<CriticalSection>(env, "reduce@" + site);
     barrier_ = env.make_site_barrier(width, "reduce@" + site);
-    if (env.supports(machdep::Capability::kThreadBarrierAlgorithms)) {
-      // vector(count) rather than resize(): Slot holds an atomic, so it is
-      // not MoveInsertable, which resize() formally requires.
-      slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
-    }
   }
 
   /// Contributes `local` and returns the combined value of all width
@@ -98,7 +96,7 @@ class Reduction {
       engine_->allreduce(me0, &local, raw, shared_target, fold);
       return *reinterpret_cast<T*>(raw);
     }
-    if (strategy == ReduceStrategy::kTournament && !slots_.empty()) {
+    if (strategy == ReduceStrategy::kTournament) {
       return allreduce_tournament(me0, local, combine, shared_target);
     }
     return allreduce_critical(me0, local, combine, shared_target);
@@ -110,7 +108,14 @@ class Reduction {
   struct State {
     T accumulator{};
     T result{};
-    int arrived = 0;  // guarded by critical_
+    int arrived = 0;              // guarded by critical_
+    machdep::WaitWord broadcast;  // kTournament's result stamp
+  };
+  /// kTournament's per-process slot, one cache line each.
+  struct alignas(64) Slot {
+    T value{};
+    std::uint32_t episode = 0;
+    machdep::WaitWord combined;
   };
 
   T allreduce_critical(int me0, const T& local,
@@ -140,7 +145,7 @@ class Reduction {
   T allreduce_tournament(int me0, const T& local,
                          const std::function<T(T, T)>& combine,
                          T* shared_target) {
-    Slot& mine = slots_[static_cast<std::size_t>(me0)];
+    Slot& mine = slots_[me0];
     mine.value = local;
     const std::uint32_t ep = ++mine.episode;
     // Combine along the same pairwise schedule as TreeBarrier: rank p
@@ -150,10 +155,10 @@ class Reduction {
       if (me0 % span == 0) {
         const int child = me0 + (1 << r);
         if (child < width_) {
-          Slot& theirs = slots_[static_cast<std::size_t>(child)];
+          Slot& theirs = slots_[child];
           // Wait for the child to have *fully combined its subtree* for
           // this episode: it bumps `combined` after losing round r.
-          theirs.combined.wait_episode(ep);
+          theirs.combined.wait_episode(ep, label_.c_str());
           mine.value = combine(mine.value, theirs.value);
         }
       } else {
@@ -166,9 +171,9 @@ class Reduction {
       state_->result = mine.value;
       // Single-writer point: the champion holds the only complete value.
       if (shared_target != nullptr) *shared_target = state_->result;
-      broadcast_.store(ep);
+      state_->broadcast.store(ep);
     } else {
-      broadcast_.wait_episode(ep);
+      state_->broadcast.wait_episode(ep, label_.c_str());
     }
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
@@ -176,23 +181,17 @@ class Reduction {
     return state_->result;
   }
 
-  struct alignas(64) Slot {
-    T value{};
-    std::uint32_t episode = 0;
-    machdep::WaitWord combined;
-  };
-
   int width_;
+  std::string label_;  // the site a parked tournament process notes
   /// Cluster only: the coordinator's reduction engine. Null elsewhere,
   /// where the members below are used.
   std::unique_ptr<machdep::ReductionSite> engine_;
   State* state_ = nullptr;  // site state, or owned_ for non-trivial T
+  Slot* slots_ = nullptr;   // after *state_, or owned_slots_
   std::unique_ptr<State> owned_;
+  std::unique_ptr<Slot[]> owned_slots_;
   std::unique_ptr<CriticalSection> critical_;
   std::unique_ptr<BarrierAlgorithm> barrier_;
-  /// kTournament's per-process slots; empty where it cannot run.
-  std::vector<Slot> slots_;
-  machdep::WaitWord broadcast_;
 };
 
 }  // namespace force::core

@@ -62,15 +62,17 @@ ComponentAssignment assign_component(int proc0,
 }
 
 ResolveState::ResolveState(ForceEnvironment& env,
-                           const std::vector<int>& sizes)
+                           const std::vector<int>& sizes,
+                           const std::string& key)
     : sizes_(sizes) {
   component_barriers_.reserve(sizes_.size());
   int total = 0;
   for (int s : sizes_) {
-    component_barriers_.push_back(env.make_barrier(s));
+    component_barriers_.push_back(env.make_site_barrier(
+        s, key + "#" + std::to_string(component_barriers_.size())));
     total += s;
   }
-  join_ = env.make_barrier(total);
+  join_ = env.make_site_barrier(total, key + "/join");
 }
 
 BarrierAlgorithm& ResolveState::component_barrier(int component) {

@@ -43,10 +43,12 @@ ComponentAssignment assign_component(int proc0,
                                      const std::vector<int>& sizes);
 
 /// Shared state of one Resolve site: the per-component barriers plus the
-/// join barrier, created once by the first arriving process.
+/// join barrier, created once by the first arriving process and keyed
+/// under the site's `key`.
 class ResolveState {
  public:
-  ResolveState(ForceEnvironment& env, const std::vector<int>& sizes);
+  ResolveState(ForceEnvironment& env, const std::vector<int>& sizes,
+               const std::string& key);
 
   [[nodiscard]] const std::vector<int>& sizes() const { return sizes_; }
   [[nodiscard]] BarrierAlgorithm& component_barrier(int component);

@@ -101,10 +101,6 @@ const std::vector<CapabilityRow>& capability_table() {
       {Capability::kIsfull, "isfull", "Isfull", true, true, false,
        "the full/empty state lives in the coordinator, so any snapshot "
        "would be stale by the time it arrived"},
-      {Capability::kThreadBarrierAlgorithms, "thread-barriers",
-       "thread barrier algorithms", true, false, false,
-       "thread barrier algorithms cannot span separate address spaces; use "
-       "make_site_barrier with a keyed barrier"},
   };
   return kTable;
 }
@@ -626,10 +622,11 @@ class ShmBackend final : public ExecutionBackend {
         return name.rfind(p, 0) == 0;
       };
       if (prefixed("%site/")) {
-        // Construct state over locks and site storage (barrier words,
-        // DOALL gates' arrival count and bounds, reduction accumulators,
-        // async cells' tagged words, Isfull flags and payloads, askfor
-        // monitors with their rings and deques, the run generation):
+        // Construct state over locks and site storage (barrier counts,
+        // stamps and slots, DOALL gates' arrival count and bounds,
+        // reduction accumulators and tournament slots, async cells'
+        // tagged words, Isfull flags and payloads, askfor monitors with
+        // their rings and deques, the run generation):
         // zero is every site's fresh state, so every async cell restarts
         // empty - its E/F locks go back to their declared state below -
         // and every askfor monitor re-arms at its next operation.

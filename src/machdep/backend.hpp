@@ -88,16 +88,15 @@ enum class ProcessModel {
 // ---------------------------------------------------------------------------
 
 enum class Capability {
-  kPcase,                   ///< Pcase section negotiation
-  kResolve,                 ///< Resolve component scheduling
-  kSentry,                  ///< runtime race/deadlock sentry
-  kTrace,                   ///< per-member event tracing
-  kTeamPool,                ///< persistent (pre-spawned) team pools
-  kNmScheduling,            ///< N:M member multiplexing (pool_workers > 0)
-  kNonTrivialPayloads,      ///< Askfor/Async/Reduce payloads that are not
-                            ///< provably trivially copyable
-  kIsfull,                  ///< non-blocking full/empty probe of a cell
-  kThreadBarrierAlgorithms  ///< named thread barrier algorithms
+  kPcase,               ///< Pcase section negotiation
+  kResolve,             ///< Resolve component scheduling
+  kSentry,              ///< runtime race/deadlock sentry
+  kTrace,               ///< per-member event tracing
+  kTeamPool,            ///< persistent (pre-spawned) team pools
+  kNmScheduling,        ///< N:M member multiplexing (pool_workers > 0)
+  kNonTrivialPayloads,  ///< Askfor/Async/Reduce payloads that are not
+                        ///< provably trivially copyable
+  kIsfull               ///< non-blocking full/empty probe of a cell
 };
 
 /// One row of the capability matrix.

@@ -93,8 +93,9 @@ struct WaitWord {
   }
 
   /// Waits until the stamp has reached episode `ep`.
-  void wait_episode(std::uint32_t ep) {
-    wait_until([ep](std::uint32_t v) { return episode_reached(v, ep); });
+  void wait_episode(std::uint32_t ep, const char* site = nullptr) {
+    wait_until([ep](std::uint32_t v) { return episode_reached(v, ep); },
+               site);
   }
 
  private:

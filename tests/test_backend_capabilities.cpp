@@ -151,17 +151,6 @@ TEST_P(BackendCapabilityTest, IsfullMatchesTheTable) {
   }
 }
 
-TEST_P(BackendCapabilityTest, ThreadBarrierFactoryMatchesTheTable) {
-  const md::ProcessModel model = GetParam();
-  fc::ForceEnvironment env(config_for(model));
-  if (md::backend_supports(model,
-                           md::Capability::kThreadBarrierAlgorithms)) {
-    EXPECT_NO_THROW(env.make_barrier(2));
-  } else {
-    EXPECT_THROW(env.make_barrier(2), force::util::CheckError);
-  }
-}
-
 TEST_P(BackendCapabilityTest, ConfigurationRejectionsMatchTheTable) {
   const md::ProcessModel model = GetParam();
   const auto construct_with = [&](void (*tweak)(fc::ForceConfig&)) {

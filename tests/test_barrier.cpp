@@ -1,11 +1,14 @@
 // Tests for every barrier algorithm (paper §3.4, §4.2, [AJ87]):
-// correctness, section semantics, reusability, and cross-algorithm sweeps.
+// correctness, section semantics, reusability, and cross-algorithm sweeps,
+// over both process models' memory. Futex waits are not process-private,
+// so plain threads over an os-fork environment's MAP_SHARED arena run the
+// same site-state words and wait path that fork(2) children do.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/barrier.hpp"
@@ -15,11 +18,38 @@ namespace fc = force::core;
 
 namespace {
 
-fc::ForceConfig test_config(int np) {
+fc::ForceConfig test_config(int np, bool os_fork = false) {
   fc::ForceConfig cfg;
   cfg.nproc = np;
   cfg.machine = "native";
+  if (os_fork) cfg.process_model = "os-fork";
   return cfg;
+}
+
+/// One BarrierTest cell: algorithm x width x process model.
+struct BarrierCase {
+  std::string algorithm;
+  int width;
+  bool os_fork;
+};
+
+// Thread cells print as the (algorithm, width) pair they always had, so
+// their test names stay put; os-fork cells add the model.
+void PrintTo(const BarrierCase& c, std::ostream* os) {
+  *os << "(\"" << c.algorithm << "\", " << c.width
+      << (c.os_fork ? ", os-fork)" : ")");
+}
+
+std::vector<BarrierCase> barrier_cases() {
+  std::vector<BarrierCase> cases;
+  for (const bool os_fork : {false, true}) {
+    for (const std::string& algorithm : fc::barrier_algorithm_names()) {
+      for (const int width : {1, 2, 3, 4, 7, 8}) {
+        cases.push_back({algorithm, width, os_fork});
+      }
+    }
+  }
+  return cases;
 }
 
 /// Runs `episodes` barrier episodes on `width` real threads and checks the
@@ -52,15 +82,13 @@ void check_barrier_property(fc::BarrierAlgorithm& barrier, int width,
 
 }  // namespace
 
-class BarrierTest
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
+class BarrierTest : public ::testing::TestWithParam<BarrierCase> {
  protected:
-  BarrierTest() : env_(test_config(std::get<1>(GetParam()))) {}
+  BarrierTest() : env_(test_config(width(), GetParam().os_fork)) {}
   std::unique_ptr<fc::BarrierAlgorithm> make() {
-    return fc::make_barrier_algorithm(std::get<0>(GetParam()), env_,
-                                      std::get<1>(GetParam()));
+    return fc::make_barrier_algorithm(GetParam().algorithm, env_, width());
   }
-  int width() const { return std::get<1>(GetParam()); }
+  int width() const { return GetParam().width; }
   fc::ForceEnvironment env_;
 };
 
@@ -179,9 +207,8 @@ TEST_P(BarrierTest, SectionSeesAllPriorWrites) {
 }
 
 TEST_P(BarrierTest, WidthOneIsImmediate) {
-  fc::ForceEnvironment env(test_config(1));
-  auto barrier =
-      fc::make_barrier_algorithm(std::get<0>(GetParam()), env, 1);
+  fc::ForceEnvironment env(test_config(1, GetParam().os_fork));
+  auto barrier = fc::make_barrier_algorithm(GetParam().algorithm, env, 1);
   int runs = 0;
   for (int e = 0; e < 100; ++e) {
     barrier->arrive(0, [&] { ++runs; });
@@ -196,17 +223,16 @@ TEST_P(BarrierTest, RejectsBadProcessIds) {
 }
 
 TEST_P(BarrierTest, NameMatches) {
-  EXPECT_EQ(make()->name(), std::get<0>(GetParam()));
+  EXPECT_EQ(make()->name(), GetParam().algorithm);
   EXPECT_EQ(make()->width(), width());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithmsAndWidths, BarrierTest,
-    ::testing::Combine(::testing::ValuesIn(fc::barrier_algorithm_names()),
-                       ::testing::Values(1, 2, 3, 4, 7, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
-      std::string name = std::get<0>(info.param) + "_w" +
-                         std::to_string(std::get<1>(info.param));
+    AllAlgorithmsAndWidths, BarrierTest, ::testing::ValuesIn(barrier_cases()),
+    [](const ::testing::TestParamInfo<BarrierCase>& info) {
+      std::string name = info.param.algorithm + "_w" +
+                         std::to_string(info.param.width) +
+                         (info.param.os_fork ? "_os_fork" : "");
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -219,32 +245,6 @@ TEST(BarrierFactory, UnknownNameThrows) {
                force::util::CheckError);
 }
 
-// The process-shared (os-fork) barrier must obey the same empty-section
-// contract as the thread algorithms. Futex waits are not process-private,
-// so plain threads over the MAP_SHARED arena exercise the real wait path.
-TEST(ProcessSharedBarrier, EmptySectionNeverThrows) {
-  constexpr int kWidth = 4;
-  fc::ForceConfig cfg = test_config(kWidth);
-  cfg.process_model = "os-fork";
-  fc::ForceEnvironment env(cfg);
-  auto barrier_ptr =
-      env.make_site_barrier(kWidth, "%test/empty-section");
-  fc::BarrierAlgorithm& barrier = *barrier_ptr;
-  std::atomic<int> runs{0};
-  {
-    std::vector<std::jthread> team;
-    for (int t = 0; t < kWidth; ++t) {
-      team.emplace_back([&, t] {
-        barrier.arrive(t);
-        barrier.arrive(t, std::function<void()>{});
-        barrier.arrive(t, fc::BarrierAlgorithm::no_section());
-        barrier.arrive(t, [&] { runs.fetch_add(1); });
-      });
-    }
-  }
-  EXPECT_EQ(runs.load(), 1);
-}
-
 TEST(PaperLockBarrier, UsesOnlyGenericLocks) {
   // The lock-only barrier exercises the machine's generic lock layer: its
   // traffic must show up in the machine counters (on every machine).
@@ -253,7 +253,7 @@ TEST(PaperLockBarrier, UsesOnlyGenericLocks) {
     cfg.machine = machine;
     fc::ForceEnvironment env(cfg);
     const auto before = force::machdep::snapshot(env.machine().counters());
-    fc::PaperLockBarrier barrier(env, 3);
+    fc::PaperLockBarrier barrier(env, 3, "");
     std::vector<std::jthread> team;
     for (int t = 0; t < 3; ++t) {
       team.emplace_back([&, t] {

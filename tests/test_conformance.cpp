@@ -14,8 +14,9 @@
 //   --cluster --pool --pool-nm
 // and CMake registers one labeled ctest per cell: every machine model x
 // both dispatch engines x all four barrier algorithms for the thread
-// backends, plus every machine model under the os-fork backend and the
-// cluster backend (separate address spaces over a socket transport). The
+// backends, plus every machine model x all four barrier algorithms under
+// the os-fork backend, and every machine model under the cluster backend
+// (separate address spaces over a socket transport). The
 // same program bytes must produce the same answer everywhere - the
 // paper's portability claim, executed.
 //

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <string>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -153,12 +155,14 @@ TEST(ForkBackend, DoallDispatchEngineFollowsMachineAndConfig) {
   }
 }
 
-// The tournament's slots live in process memory, which fork children do
-// not share: under os-fork a kTournament request runs the critical idiom
-// and must agree with it.
+// The tournament's slots and broadcast word are site state, so under
+// os-fork a kTournament request runs the tournament over the arena: the
+// site's "%site/reduce/<key>" blob carries one slot line per process, and
+// the result agrees with the critical idiom's.
 TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
   force::Force f(fork_config());
   auto& results = f.shared<std::array<std::int64_t, 2 * kNproc>>("results");
+  const core::Site tournament = FORCE_SITE;
   f.run([&](core::Ctx& ctx) {
     const auto add = [](std::int64_t a, std::int64_t b) { return a + b; };
     const auto me0 = static_cast<std::size_t>(ctx.me0());
@@ -167,7 +171,7 @@ TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
           FORCE_SITE, 10 * ctx.me() + round, add,
           core::ReduceStrategy::kCritical);
       results[kNproc + me0] = ctx.reduce<std::int64_t>(
-          FORCE_SITE, 10 * ctx.me() + round, add,
+          tournament, 10 * ctx.me() + round, add,
           core::ReduceStrategy::kTournament);
     }
   });
@@ -176,6 +180,13 @@ TEST(ForkBackend, TournamentReduceMatchesTheCriticalResult) {
     EXPECT_EQ(results[p], 108) << "critical, process " << p;
     EXPECT_EQ(results[kNproc + p], results[p]) << "tournament, process " << p;
   }
+  std::size_t site_bytes = 0;
+  f.env().arena().for_each_allocation(
+      [&](const std::string& name, void*, std::size_t bytes) {
+        if (name == "%site/reduce/" + tournament.key()) site_bytes = bytes;
+      });
+  EXPECT_GE(site_bytes, kNproc * std::size_t{64})
+      << "the tournament's slots are not in the arena";
 }
 
 // Async variables run the core code under os-fork too, so the scheme
@@ -254,31 +265,54 @@ TEST(ForkBackend, ThousandCellAsyncArrayRoundTrips) {
   EXPECT_EQ(sum, static_cast<std::int64_t>(kCells * (kCells + 1) / 2));
 }
 
-// Barriers are central-sense over site state: the global barrier and every
-// reduction's barrier keep their words under "%site/barrier/...", where the
-// death scrub's site-state zeroing re-arms them. No separate barrier state
-// exists.
+// Every barrier algorithm runs over site state: under respawned and pooled
+// teams alike the global barrier and every reduction's barrier are the
+// configured algorithm, keeping their words under "%site/barrier/...",
+// where the death scrub's site-state zeroing re-arms them. No separate
+// barrier state exists.
 TEST(ForkBackend, SiteBarriersLiveInSiteState) {
-  force::Force f(fork_config());
-  auto& total = f.shared<std::int64_t>("total");
-  f.run([&](core::Ctx& ctx) {
-    ctx.barrier();
-    ctx.reduce_into<std::int64_t>(FORCE_SITE, ctx.me(), total,
-                                  [](std::int64_t a, std::int64_t b) {
-                                    return a + b;
-                                  });
-    ctx.barrier();
-  });
-  EXPECT_EQ(total, kNproc * (kNproc + 1) / 2);
-  EXPECT_STREQ(f.env().global_barrier().name(), "central-sense");
-  EXPECT_TRUE(f.env().arena().contains_name("%site/barrier/force/global"));
-  int reduce_barriers = 0;
-  f.env().arena().for_each_allocation(
-      [&](const std::string& name, void*, std::size_t) {
-        EXPECT_NE(name.rfind("%barrier/", 0), 0u) << name;
-        if (name.rfind("%site/barrier/reduce@", 0) == 0) ++reduce_barriers;
-      });
-  EXPECT_EQ(reduce_barriers, 1);
+  for (const std::string& algorithm : core::barrier_algorithm_names()) {
+    for (const bool pooled : {false, true}) {
+      force::ForceConfig cfg = fork_config();
+      cfg.barrier_algorithm = algorithm;
+      cfg.team_pool = pooled;
+      force::Force f(cfg);
+      auto& total = f.shared<std::int64_t>("total");
+      const auto program = [&](core::Ctx& ctx) {
+        ctx.barrier();
+        ctx.reduce_into<std::int64_t>(FORCE_SITE, ctx.me(), total,
+                                      [](std::int64_t a, std::int64_t b) {
+                                        return a + b;
+                                      });
+        ctx.barrier();
+      };
+      for (int run = 0; run < 2; ++run) {
+        total = 0;
+        f.run(program);
+        EXPECT_EQ(total, kNproc * (kNproc + 1) / 2)
+            << algorithm << " pooled=" << pooled << " run " << run;
+      }
+      EXPECT_EQ(f.env().global_barrier().name(), algorithm);
+      EXPECT_TRUE(f.env().arena().contains_name("%site/barrier/force/global"))
+          << algorithm << " pooled=" << pooled;
+      // Each algorithm lays out its own site state, so the reduction's
+      // barrier, as wide as the global one, runs the same algorithm
+      // exactly when its state has the same size.
+      std::size_t global_bytes = 0;
+      std::vector<std::size_t> reduce_bytes;
+      f.env().arena().for_each_allocation(
+          [&](const std::string& name, void*, std::size_t bytes) {
+            EXPECT_NE(name.rfind("%barrier/", 0), 0u) << name;
+            if (name == "%site/barrier/force/global") global_bytes = bytes;
+            if (name.rfind("%site/barrier/reduce@", 0) == 0) {
+              reduce_bytes.push_back(bytes);
+            }
+          });
+      ASSERT_EQ(reduce_bytes.size(), 1u) << algorithm << " pooled=" << pooled;
+      EXPECT_EQ(reduce_bytes[0], global_bytes)
+          << algorithm << " pooled=" << pooled;
+    }
+  }
 }
 
 // The HEP cell is address-free: placed in a MAP_SHARED mapping it hands
@@ -365,32 +399,47 @@ TEST(ForkBackend, ForceConstructionDoesNotTouchALargeArena) {
 
 // --- robust join: death tests ----------------------------------------------
 
-// A child SIGKILLed while its siblings sit in a barrier. The parent must
-// detect the death, poison the team so the survivors are released, and
-// report the victim's process number and last construct site - all well
-// inside the 60 s ctest timeout.
+// A child SIGKILLed while it and its siblings sit in a barrier, under
+// every algorithm. The parent must detect the death, poison the team so
+// the survivors are released, and report the victim's process number and
+// last construct site - the barrier it was parked in - all well inside
+// the 60 s ctest timeout.
 TEST(ForkDeath, SigkillMidBarrierIsReportedAndDoesNotHang) {
-  force::Force f(fork_config());
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    f.run([](core::Ctx& ctx) {
-      if (ctx.me() == 2) {
-        raise(SIGKILL);  // dies before arriving
-      }
-      ctx.barrier();  // siblings park here forever - until poisoned
-    });
-    FAIL() << "a SIGKILLed child must surface as ProcessDeathError";
-  } catch (const md::ProcessDeathError& e) {
-    EXPECT_EQ(e.process(), 2);
-    EXPECT_EQ(e.term_signal(), SIGKILL);
-    EXPECT_EQ(e.exit_code(), -1);
-    EXPECT_GT(e.pid(), 0);
-    EXPECT_NE(std::string(e.what()).find("killed by signal"),
-              std::string::npos);
-    // Survivors were parked in the global barrier when the team died.
-    EXPECT_NE(std::string(e.what()).find("construct site"), std::string::npos);
+  for (const std::string& algorithm : core::barrier_algorithm_names()) {
+    force::ForceConfig cfg = fork_config();
+    cfg.barrier_algorithm = algorithm;
+    force::Force f(cfg);
+    auto& victim = f.shared<std::atomic<pid_t>>("victim");
+    victim.store(0);
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      f.run([&](core::Ctx& ctx) {
+        if (ctx.me() == 2) victim.store(getpid());
+        if (ctx.me() == 3) {
+          // Kill process 2 once it has long been parked in the barrier.
+          while (victim.load() == 0) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          kill(victim.load(), SIGKILL);
+        }
+        ctx.barrier();  // siblings park here forever - until poisoned
+      });
+      FAIL() << algorithm << ": a SIGKILLed child must surface as "
+             << "ProcessDeathError";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.process(), 2) << algorithm;
+      EXPECT_EQ(e.term_signal(), SIGKILL) << algorithm;
+      EXPECT_EQ(e.exit_code(), -1) << algorithm;
+      EXPECT_GT(e.pid(), 0) << algorithm;
+      EXPECT_NE(std::string(e.what()).find("killed by signal"),
+                std::string::npos)
+          << algorithm;
+      EXPECT_NE(std::string(e.what()).find("barrier 'force/global'"),
+                std::string::npos)
+          << algorithm << ": " << e.what();
+    }
+    EXPECT_LT(seconds_since(t0), 30.0)
+        << algorithm << ": robust join took too long";
   }
-  EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
 }
 
 // A child SIGKILLed mid-askfor, while it still owes a complete(): the
@@ -529,12 +578,6 @@ TEST(ForkConfig, ExplicitTraceIsRejected) {
   force::ForceConfig cfg = fork_config();
   cfg.trace = true;
   EXPECT_THROW(force::Force f(cfg), force::util::CheckError);
-}
-
-TEST(ForkConfig, ThreadBarrierAlgorithmFactoryIsRejected) {
-  force::Force f(fork_config());
-  EXPECT_THROW(f.env().make_barrier(2, "central-sense"),
-               force::util::CheckError);
 }
 
 TEST(ForkConfig, PcaseAndResolveAreRejected) {

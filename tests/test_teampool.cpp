@@ -321,8 +321,11 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
 // the dead run - E/F lock words on a two-lock machine, tagged cells in site
 // state on the HEP. A death inside an askfor body leaves a granted task
 // uncompleted and the rest of the tree queued - in the steal deques on
-// native, in the central ring on the HEP. The death scrub resets all of it
-// by name prefix (every async cell restarts empty), so the next run of the
+// native, in the central ring on the HEP. A death while the others are
+// parked in a tree or dissemination barrier leaves the survivors' arrival
+// stamps and episode counters one episode ahead of the victim's. The death
+// scrub resets all of it by name prefix (every async cell restarts empty,
+// every barrier's stamps return to zero), so the next run of the
 // same program on a re-forked team completes, matches the sequential
 // result and drains every askfor task exactly once.
 TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
@@ -340,19 +343,25 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
     kInDoallBody = 1,
     kBeforeReduce = 2,
     kWhileConsumerParked = 3,
-    kInAskforBody = 4
+    kInAskforBody = 4,
+    kWhileBarrierParked = 5
   };
   struct Case {
     const char* machine;
+    const char* barrier;
     std::vector<std::int64_t> victim_sites;
   };
   const auto t0 = std::chrono::steady_clock::now();
   for (const Case& c :
-       {Case{"native", {kInDoallBody, kBeforeReduce, kWhileConsumerParked,
-                        kInAskforBody}},
-        Case{"hep", {kWhileConsumerParked, kInAskforBody}}}) {
+       {Case{"native", "paper-lock",
+             {kInDoallBody, kBeforeReduce, kWhileConsumerParked,
+              kInAskforBody}},
+        Case{"hep", "paper-lock", {kWhileConsumerParked, kInAskforBody}},
+        Case{"native", "tree", {kWhileBarrierParked}},
+        Case{"native", "dissemination", {kWhileBarrierParked}}}) {
     force::ForceConfig cfg = fork_pool_config();
     cfg.machine = c.machine;
+    cfg.barrier_algorithm = c.barrier;
     force::Force f(cfg);
     auto& kill_at = f.shared<std::int64_t>("kill_at");
     auto& run = f.shared<std::int64_t>("run");
@@ -393,6 +402,11 @@ TEST(PooledForkDeath, DeathMidConstructLeavesTheNextRunClean) {
       // run cannot pass for a current one.
       auto& af = ctx.askfor<std::int64_t>(FORCE_SITE);
       if (ctx.leader()) af.put(run * kRunTag + 1);
+      if (kill_at == kWhileBarrierParked && ctx.me() == 2) {
+        // The others are parked in the barrier, its stamps half set.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        raise(SIGKILL);
+      }
       ctx.barrier();
       std::int64_t my_nodes = 0;
       std::int64_t my_sum = 0;
